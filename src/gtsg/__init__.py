@@ -24,7 +24,6 @@ from .thabit import (
     frobenius_k2_closed,
     generator_at,
     genus_closed,
-    iter_apery_coeffs,
     max_apery,
     max_apery_fast_kltn,
     minimal_generating_set,
@@ -54,7 +53,6 @@ __all__ = [
     "generator_at",
     "genus_closed",
     "grid_points",
-    "iter_apery_coeffs",
     "make_semigroup",
     "max_apery",
     "max_apery_fast_kltn",

@@ -28,7 +28,8 @@ DEFAULT_APERY_CAP = 1_000_000
 
 
 class TooLarge(Exception):
-    """Enumeration refused because s_0 exceeds the cap and --force is absent."""
+    """Enumeration refused because s_0 or a table modulus exceeds the cap
+    and --force is absent."""
 
 
 def _apery_cap() -> int:
@@ -102,47 +103,40 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _apery_rows(n: int, k: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    s0 = thabit.generator_at(n, k, 0)
-    rows = []
-    for t in thabit.iter_apery_coeffs(n, k):
-        value = thabit.coeff_value(n, k, t)
-        rows.append((value % s0, value, t))
-    rows.sort(key=lambda row: row[1])
-    return rows
+def _check_cap(what: str, size: int, force: bool) -> None:
+    """Raise TooLarge when ``size`` exceeds the cap and ``force`` is off."""
+    if size > _apery_cap() and not force:
+        raise TooLarge(
+            f"{what} = {size} exceeds the enumeration cap {_apery_cap()}; "
+            "pass --force to enumerate anyway"
+        )
 
 
 def cmd_apery(args) -> int:
-    s0 = thabit.generator_at(args.n, args.k, 0)
-    if s0 > _apery_cap() and not args.force:
-        raise TooLarge(
-            f"s0 = {s0} exceeds the enumeration cap {_apery_cap()}; "
-            "pass --force to enumerate anyway"
-        )
-    rows = _apery_rows(args.n, args.k)
+    n, k = args.n, args.k
+    s0 = thabit.generator_at(n, k, 0)
+    _check_cap("s0", s0, args.force)
+    values = thabit.apery_set_closed(n, k)
+    coeffs = None
+    if args.with_coeffs or args.format == "csv":
+        tuples = thabit.apery_coeffs(n, k)
+        line = " ".join(["%d"] * len(tuples[0]))   # one format call a sequence
+        coeffs = [line % t for t in tuples]
     if args.format == "json":
-        data = {
-            "n": args.n,
-            "k": args.k,
-            "s0": s0,
-            "apery": [row[1] for row in rows],
-        }
+        data = {"n": str(n), "k": str(k), "s0": str(s0), "apery": list(map(str, values))}
         if args.with_coeffs:
-            data["coeffs"] = [list(row[2]) for row in rows]
-        print(emit_json(data))
+            data["coeffs"] = [c.split(" ") for c in coeffs]
+        sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["residue", "value", "coeffs"])
-        for residue, value, coeffs in rows:
-            writer.writerow([residue, value, " ".join(map(str, coeffs))])
+        writer.writerows(zip((v % s0 for v in values), values, coeffs))
         sys.stdout.write(buf.getvalue())
+    elif not args.with_coeffs:
+        sys.stdout.write("".join(f"{v}\n" for v in values))
     else:
-        for residue, value, coeffs in rows:
-            if args.with_coeffs:
-                print(value, " ".join(map(str, coeffs)))
-            else:
-                print(value)
+        sys.stdout.write("".join(f"{v} {c}\n" for v, c in zip(values, coeffs)))
     return 0
 
 
@@ -161,6 +155,11 @@ def cmd_frobenius(args) -> int:
 def cmd_oracle(args) -> int:
     gens = make_semigroup(int(x) for x in args.gens.split(","))
     what = args.what
+    # every table is taken mod the smallest generator, and apery's mod --x too
+    modulus = gens.gens[0]
+    if what == "apery" and args.x is not None:
+        modulus = max(modulus, args.x)
+    _check_cap("modulus", modulus, args.force)
     if what == "apery":
         table = gens.apery_set(args.x)
         values = sorted(table.w)
@@ -278,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Apery modulus / membership candidate")
     p_oracle.add_argument("--format", choices=("text", "json", "csv"),
                           default="text")
+    p_oracle.add_argument("--force", action="store_true",
+                          help="tabulate even when the modulus exceeds the cap")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="closed-form vs oracle sweep")

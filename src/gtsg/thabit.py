@@ -10,13 +10,19 @@ Coefficient sequences (t_1, ..., t_m) over {0,1,2} encode the element
 Q = t_1*s_1 + ... + t_m*s_m and the scalar P = sum t_i*(2^i - 1).  A
 sequence is "valid" when t_m <= 1 and a 2 at position j forces zeros at all
 positions before j; at most one 2 can occur.
+
+One enumerator, :func:`_apery_entries`, lists the Apery coefficient set: a
+sequence is the bitmask of its 1s and the position of its single 2, the
+kept masks of each position form one run, and the values are read off a
+subset-sum table.  :func:`apery_set_closed` sorts the values and
+:func:`apery_coeffs` decodes the sequences in the same order.  The
+spec-literal form, every valid tuple filtered by the per-case rules, is
+kept in the test suite as the reference for this one.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
-from typing import Iterator
 
 from .oracle import Semigroup, make_semigroup
 
@@ -87,11 +93,6 @@ def coeff_value(n: int, k: int, t) -> int:
     return sum(ti * generator_at(n, k, i) for i, ti in enumerate(t, start=1))
 
 
-def _scalar(prefix) -> int:
-    """P = sum t_i * (2^i - 1) over a coefficient prefix."""
-    return sum(ti * (2**i - 1) for i, ti in enumerate(prefix, start=1))
-
-
 def _max_scalar(length: int) -> int:
     # largest P of a valid sequence: a single 2 at the top position
     return 2 * (2**length - 1)
@@ -125,94 +126,6 @@ def _solve(x: int, length: int) -> tuple[int, ...] | None:
             if sub is not None:
                 return sub + (t,)
     return None
-
-
-def iter_valid_sequences(length: int, last_two_ok: bool = False) -> Iterator[tuple[int, ...]]:
-    """All sequences over {0,1,2} obeying the 2-forces-earlier-zeros rule.
-
-    With last_two_ok=False the final coefficient is restricted to {0,1},
-    matching full-length Apery coefficient sequences; prefixes used in
-    scalar equations allow a trailing 2.
-    """
-    if length == 0:
-        yield ()
-        return
-    for bits in product((0, 1), repeat=length):
-        yield bits
-    top = length if last_two_ok else length - 1
-    for j in range(1, top + 1):
-        for tail in product((0, 1), repeat=length - j):
-            yield (0,) * (j - 1) + (2,) + tail
-
-
-def _keep_k1(t: tuple[int, ...], n: int) -> bool:
-    # length n+1; extra rules on the top two coefficients
-    if t[n - 1] == 2 and t[n] == 1:
-        return False
-    if t[n - 1] == 1 and t[n] == 1 and any(t[: n - 1]):
-        return False
-    return True
-
-
-def _keep_klt(t: tuple[int, ...], n: int, k: int) -> bool:
-    # length n+k; constraints fire only when the top coefficient is 1
-    if t[-1] != 1:
-        return True
-    if any(t[n - 1 : n + k - 1]):
-        return False
-    if t[n - 2] == 2:
-        return False
-    if t[n - 2] == 1 and _scalar(t[: n - 2]) > 2 ** (n - 1) - 2**k + 2:
-        return False
-    return True
-
-
-def _keep_keq(t: tuple[int, ...], n: int) -> bool:
-    # length 2n; top coefficient 1 pins everything except t_1 in {0,1}
-    if t[-1] != 1:
-        return True
-    return t[0] != 2 and not any(t[1 : 2 * n - 1])
-
-
-def _keep_kgt(t: tuple[int, ...], n: int, k: int) -> bool:
-    # length n+k-1; the top n positions are t_k..t_(n+k-1)
-    top = t[k - 1 :]
-    if all(v == 1 for v in top):
-        return _scalar(t[: k - 1]) <= 2**n + n
-    for i, v in enumerate(top):
-        if v == 2:
-            # a 2 inside the top block must not be followed by all ones
-            return not all(x == 1 for x in top[i + 1 :])
-    return True
-
-
-def iter_apery_coeffs(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Coefficient sequences whose Q-values enumerate Ap(GT(n,k), s_0)."""
-    case = case_of(n, k)
-    if case is Case.N0:
-        yield (0,)
-        yield (1,)
-        return
-    if case is Case.EXCEPTION_1_2:
-        # 74 = 2*s_2 breaks the t_m <= 1 rule; the set is literal here
-        yield from ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2))
-        return
-    m = n + delta(n, k)
-    if case is Case.K1:
-        keep = lambda t: _keep_k1(t, n)
-    elif case is Case.KLT_N:
-        keep = lambda t: _keep_klt(t, n, k)
-    elif case is Case.KEQ_N:
-        keep = lambda t: _keep_keq(t, n)
-    else:
-        keep = lambda t: _keep_kgt(t, n, k)
-    for t in iter_valid_sequences(m):
-        if keep(t):
-            yield t
-
-
-def apery_coeffs(n: int, k: int) -> list[tuple[int, ...]]:
-    return list(iter_apery_coeffs(n, k))
 
 
 def max_apery(n: int, k: int) -> int:
@@ -286,119 +199,103 @@ def _subset_sums(vals: list[int]) -> list[int]:
     return sums
 
 
-def _apery_values(n: int, k: int) -> list[int]:
-    """Unsorted Q-values of the Apery coefficient set, enumerated fast.
+def _fit_count(bound: int, first: int, last: int) -> int:
+    """How many masks over positions first..last keep sum(2^i - 1) <= bound.
 
-    Mirrors :func:`iter_apery_coeffs` but walks bitmasks instead of tuples:
-    a sequence is (mask of the 1-coefficients, optional position of the
-    single 2) and its value is read off precomputed subset-sum tables.
-    The tuple and mask paths are cross-checked against each other in the
-    test suite.
+    The weights 2^i - 1 are superincreasing, so the sum grows with the mask
+    and the masks that fit are 0 .. x, with x found greedily from the top.
+    """
+    if bound < 0:
+        return 0
+    x = 0
+    for i in range(last, first - 1, -1):
+        w = 2**i - 1
+        if w <= bound:
+            bound -= w
+            x |= 1 << (i - first)
+    return x + 1
+
+
+def _apery_runs(n: int, k: int) -> list[tuple[int, int]]:
+    """The Apery coefficient set of GT(n,k) as runs (j, count).
+
+    A sequence is a mask of its 1-coefficients (bit i-1 for t_i) and the
+    position j of its single 2, or j = 0 when it has none; a 2 at j forces
+    zeros below it, so its mask is tail << j.  The rules of every case only
+    cut off the largest tails, so the kept sequences with the 2 at j are
+    exactly the tails 0 .. count-1.
     """
     case = case_of(n, k)
     if case is Case.N0:
-        return [0, generator_at(n, k, 1)]
+        return [(0, 2)]
     if case is Case.EXCEPTION_1_2:
-        return [0, 17, 34, 37, 54, 71, 74]
+        # 74 = 2*s_2 breaks the t_m <= 1 rule; the set is literal here
+        return [(0, 4), (1, 2), (2, 1)]
+    m = n + delta(n, k)
+    top = 1 << (m - 1)                          # bit of t_m
+    if case is Case.K1:
+        # t_n = t_(n+1) = 1 pins every other entry to 0, and t_n = 2 forces
+        # t_(n+1) = 0
+        return ([(0, (3 << (n - 1)) + 1)]
+                + [(j, 3 << (n - 1 - j)) for j in range(1, n)] + [(n, 1)])
+    if case is Case.KEQ_N:
+        # t_(2n) = 1 leaves only t_1 in {0, 1} free
+        return [(0, top + 2)] + [(j, top >> j) for j in range(1, m)]
+    if case is Case.KLT_N:
+        # t_m = 1 forces t_n .. t_(n+k-1) = 0 and t_(n-1) <= 1, and
+        # t_(n-1) = 1 then bounds the scalar of t_1 .. t_(n-2)
+        bound = 2 ** (n - 1) - 2**k + 2
+        runs = [(0, top + (1 << (n - 2)) + _fit_count(bound, 1, n - 2))]
+        for j in range(1, m):
+            count = top >> j
+            if j <= n - 2:
+                extra = 2 * (2**j - 1)
+                count += (1 << (n - 2 - j)) + _fit_count(bound - extra, j + 1, n - 2)
+            runs.append((j, count))
+        return runs
+    # KGT_N: with all of the top n positions t_k .. t_(n+k-1) equal to 1 the
+    # scalar of t_1 .. t_(k-1) is bounded; a 2 in that block must not be
+    # followed by all ones
+    bound = 2**n + n
+    block = ((1 << n) - 1) << (k - 1)
+    runs = [(0, block + _fit_count(bound, 1, k - 1))]
+    for j in range(1, m):
+        if j < k:
+            extra = 2 * (2**j - 1)
+            runs.append((j, (block >> j) + _fit_count(bound - extra, j + 1, k - 1)))
+        else:
+            runs.append((j, (1 << (m - j)) - 1))
+    return runs
 
+
+def _apery_entries(n: int, k: int) -> tuple[int, list[tuple[list[int], range]]]:
+    """m and, run by run, the Q-values of the Apery coefficient set and
+    their codes mask | (j << m).
+
+    Since s_i exceeds s_1 + ... + s_(i-1), the subset sums grow with the
+    mask, so each run's values come out ascending and a sort only merges
+    the runs.
+    """
     m = n + delta(n, k)
     svals = [generator_at(n, k, i) for i in range(1, m + 1)]
-    S = _subset_sums(svals)
-    top_bit = 1 << (m - 1)
-    values = []
-    out = values.append
-
-    if case is Case.K1:
-        pair = (1 << (n - 1)) | (1 << n)       # bits of t_n and t_(n+1)
-        low = (1 << (n - 1)) - 1
-        for mask in range(1 << m):
-            if mask & pair == pair and mask & low:
-                continue                        # t_n = t_(n+1) = 1 pins the rest
-            out(S[mask])
-        for j in range(1, m):                   # the single 2 sits at position j
+    sums = _subset_sums(svals)
+    entries = []
+    for j, count in _apery_runs(n, k):
+        step = 1 << j
+        values = sums[: count * step : step]
+        if j:
             base = 2 * svals[j - 1]
-            for tail in range(1 << (m - j)):
-                mask = tail << j
-                if j == n and mask & top_bit:
-                    continue                    # t_n = 2 forces t_(n+1) = 0
-                if j < n and mask & pair == pair:
-                    continue                    # the 2 is a nonzero earlier entry
-                out(base + S[mask])
-        return values
-
-    weights = [2**i - 1 for i in range(1, m + 1)]
-    W = _subset_sums(weights)
-
-    if case is Case.KLT_N:
-        zero_block = ((1 << k) - 1) << (n - 1)  # bits of t_n .. t_(n+k-1)
-        flag_bit = 1 << (n - 2)                 # bit of t_(n-1)
-        pref = (1 << (n - 2)) - 1               # bits of t_1 .. t_(n-2)
-        bound = 2 ** (n - 1) - 2**k + 2
-        for mask in range(1 << m):
-            if mask & top_bit:
-                if mask & zero_block:
-                    continue
-                if mask & flag_bit and W[mask & pref] > bound:
-                    continue
-            out(S[mask])
-        for j in range(1, m):
-            base = 2 * svals[j - 1]
-            extra = 2 * weights[j - 1]
-            for tail in range(1 << (m - j)):
-                mask = tail << j
-                if mask & top_bit:
-                    if j >= n - 1 or mask & zero_block:
-                        continue                # t_(n-1) = 2 or forced zeros hit
-                    if mask & flag_bit and extra + W[mask & pref] > bound:
-                        continue
-                out(base + S[mask])
-        return values
-
-    if case is Case.KEQ_N:
-        for mask in range(1 << m):
-            if mask & top_bit and mask not in (top_bit, top_bit | 1):
-                continue                        # t_(2n) = 1 leaves only t_1 free
-            out(S[mask])
-        for j in range(1, m):
-            base = 2 * svals[j - 1]
-            for tail in range(1 << (m - j)):
-                mask = tail << j
-                if mask & top_bit:
-                    continue
-                out(base + S[mask])
-        return values
-
-    # KGT_N: the top n positions are t_k .. t_(n+k-1)
-    top_block = ((1 << n) - 1) << (k - 1)
-    pref = (1 << (k - 1)) - 1
-    bound = 2**n + n
-    for mask in range(1 << m):
-        if mask & top_block == top_block and W[mask & pref] > bound:
-            continue
-        out(S[mask])
-    for j in range(1, m):
-        base = 2 * svals[j - 1]
-        extra = 2 * weights[j - 1]
-        if j >= k:
-            # reject a 2 inside the top block followed by all ones
-            above = (((1 << n) - 1) << (k - 1)) & ~((1 << j) - 1)
-            for tail in range(1 << (m - j)):
-                mask = tail << j
-                if mask & above == above:
-                    continue
-                out(base + S[mask])
-        else:
-            for tail in range(1 << (m - j)):
-                mask = tail << j
-                if mask & top_block == top_block and extra + W[mask & pref] > bound:
-                    continue
-                out(base + S[mask])
-    return values
+            values = [base + v for v in values]
+        entries.append((values, range(j << m, (j << m) + count * step, step)))
+    return m, entries
 
 
 def apery_set_closed(n: int, k: int) -> list[int]:
     """Ap(GT(n,k), s_0) as a sorted list; its size must equal s_0."""
-    values = sorted(_apery_values(n, k))
+    values = []
+    for run, _ in _apery_entries(n, k)[1]:
+        values += run
+    values.sort()
     s0 = generator_at(n, k, 0)
     if len(values) != s0 or len(set(values)) != s0:
         raise AssertionError(
@@ -406,6 +303,44 @@ def apery_set_closed(n: int, k: int) -> list[int]:
         )
     return values
 
+
+def _bit_tuples(length: int) -> list[tuple[int, ...]]:
+    """table[x] = (bit 0 of x, ..., bit length-1 of x)."""
+    table = [()]
+    for _ in range(length):
+        table = [t + (0,) for t in table] + [t + (1,) for t in table]
+    return table
+
+
+def apery_coeffs(n: int, k: int) -> list[tuple[int, ...]]:
+    """Coefficient sequences (t_1, ..., t_m) whose Q-values make up
+    Ap(GT(n,k), s_0), in the order of :func:`apery_set_closed`."""
+    m, entries = _apery_entries(n, k)
+    values, codes = [], []
+    for run, span in entries:
+        values += run
+        codes += span
+    order = sorted(range(len(values)), key=values.__getitem__)
+    # decode each half of the mask by table; a table per position of the 2
+    # puts the 2 into the half that holds it
+    h = m // 2
+    low_mask = (1 << h) - 1
+    full = (1 << m) - 1
+    low, high = _bit_tuples(h), _bit_tuples(m - h)
+    lows, highs = [low], [high]
+    for j in range(1, m + 1):
+        if j <= h:
+            lows.append([t[: j - 1] + (2,) + t[j:] for t in low])
+            highs.append(high)
+        else:
+            lows.append(low)
+            highs.append([t[: j - 1 - h] + (2,) + t[j - h:] for t in high])
+    coeffs = []
+    for i in order:
+        c = codes[i]
+        j = c >> m
+        coeffs.append(lows[j][c & low_mask] + highs[j][(c & full) >> h])
+    return coeffs
 
 def genus_from_apery(s0: int, values) -> int:
     """g = (sum of Apery values)/s0 - (s0-1)/2, checked to divide exactly."""

@@ -119,8 +119,14 @@ def verify_grid(n_max: int | None = None, k_max: int | None = None,
     """Run :func:`verify_point` over the whole grid.
 
     The report order is always n asc, k asc, independent of ``jobs``.
+    Raises ValueError when ``jobs`` < 1 or the grid has no points, so that
+    an empty sweep never reads as a pass.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = grid_points(n_max, k_max, s0_max)
+    if not points:
+        raise ValueError("the grid has no points; raise --s0-max or the n/k limits")
     if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_point_star, points, chunksize=4))

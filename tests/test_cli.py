@@ -172,6 +172,33 @@ class TestOracle:
         assert err
 
 
+class TestOracleCap:
+    def test_apery_modulus_over_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("GTSG_S0_CAP", "100")
+        code, out, err = run(capsys, "oracle", "apery", "--gens", "7,11",
+                             "--x", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "exceeds" in err
+
+    def test_smallest_generator_over_cap_needs_force(self, capsys, monkeypatch):
+        monkeypatch.setenv("GTSG_S0_CAP", "100")
+        code, out, err = run(capsys, "oracle", "--gens", "300,301", "frobenius")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "exceeds" in err
+        code, out, _ = run(capsys, "oracle", "--gens", "300,301", "frobenius",
+                           "--force")
+        assert code == 0
+        assert out == "89699\n"  # 300*301 - 300 - 301
+
+    def test_apery_within_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("GTSG_S0_CAP", "13")
+        code, out, _ = run(capsys, "oracle", "apery", "--gens", "7,11,13",
+                           "--x", "13")
+        assert code == 0
+        assert len(out.split()) == 13
+
+
 class TestVerify:
     def test_small_grid_all_match(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1", "--k-max", "2",
@@ -212,3 +239,18 @@ class TestUsageErrors:
         code, _, err = run(capsys, "frobenius", "--n", "-1", "--k", "2")
         assert code == 2
         assert "n must be" in err
+
+
+class TestVerifyUsageErrors:
+    def test_empty_grid_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--s0-max", "0")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "no points" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--s0-max", "300", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "jobs" in err

@@ -21,10 +21,11 @@ from gtsg.thabit import (
     coeff_value,
     delta,
     generator_at,
-    iter_valid_sequences,
     max_apery,
     minimal_generating_set,
 )
+
+from spec_reference import iter_valid_sequences
 
 GRID = verify.grid_points()
 SMALL_GRID = verify.grid_points(s0_max=10**4)
