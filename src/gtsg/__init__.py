@@ -21,11 +21,9 @@ from .thabit import (
     delta,
     embedding_dimension,
     frobenius_closed,
-    frobenius_k2_closed,
     generator_at,
     genus_closed,
     max_apery,
-    max_apery_fast_kltn,
     minimal_generating_set,
 )
 from .verify import grid_points, verify_grid, verify_point
@@ -49,13 +47,11 @@ __all__ = [
     "delta",
     "embedding_dimension",
     "frobenius_closed",
-    "frobenius_k2_closed",
     "generator_at",
     "genus_closed",
     "grid_points",
     "make_semigroup",
     "max_apery",
-    "max_apery_fast_kltn",
     "minimal_generating_set",
     "verify_grid",
     "verify_point",

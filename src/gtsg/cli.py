@@ -8,8 +8,8 @@ Subcommands:
   verify     closed-form vs oracle sweep over a parameter grid
 
 Exit codes: 0 success / all match, 1 verification mismatch, 2 usage or
-input error.  JSON output serializes every integer as a decimal string so
-consumers never lose precision.
+input error or any other failure.  JSON output serializes every integer as
+a decimal string so consumers never lose precision.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def emit_json(obj) -> str:
 def _info_data(n: int, k: int, force: bool) -> dict:
     gens = thabit.minimal_generating_set(n, k)
     s0 = gens.gens[0]
+    max_apery = thabit.max_apery(n, k)
     data = {
         "n": n,
         "k": k,
@@ -64,10 +65,11 @@ def _info_data(n: int, k: int, force: bool) -> dict:
         "delta": thabit.delta(n, k),
         "e": thabit.embedding_dimension(n, k),
         "case": thabit.case_of(n, k).name,
-        "max_apery": thabit.max_apery(n, k),
-        "frobenius": thabit.frobenius_closed(n, k),
+        "max_apery": max_apery,
+        "frobenius": max_apery - s0,
     }
-    # genus enumerates the Apery set, so it honors the size cap
+    # the genus sums the Apery set run by run, whose runs cost O(m^2) to
+    # find, so it keeps the size cap
     if s0 <= _apery_cap() or force:
         data["genus"] = thabit.genus_closed(n, k)
     else:
@@ -299,11 +301,24 @@ def main(argv=None) -> int:
     if getattr(args, "k", 1) < 1 or getattr(args, "n", 0) < 0:
         print("gtsg: error: n must be >= 0 and k must be >= 1", file=sys.stderr)
         return 2
+    # closed forms reach thousands of digits; print them whole (Python
+    # 3.10.7+ refuses int <-> str beyond 4300 digits by default)
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    max_digits = limit() if limit else None
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (SemigroupError, TooLarge, ValueError) as exc:
         print(f"gtsg: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other error is a fault, not a mismatch: exit 1 means only that
+        print(f"gtsg: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(max_digits)
 
 
 def entry() -> None:

@@ -6,6 +6,12 @@ generating set, embedding dimension, the coefficient-set description of the
 Apery set of s_0, the maximal Apery element, the Frobenius number and the
 genus, all without enumerating semigroup elements.
 
+With s_i = A*2^i - B, the maximal Apery element and the Frobenius number
+take O(m) big-integer operations, m = n + delta, and never recurse: the
+coefficient prefix they need is a greedy skew-binary conversion, and the
+generator sums are geometric.  The genus applies Selmer's formula to the
+Apery sum, taken run by run in closed form without listing the values.
+
 Coefficient sequences (t_1, ..., t_m) over {0,1,2} encode the element
 Q = t_1*s_1 + ... + t_m*s_m and the scalar P = sum t_i*(2^i - 1).  A
 sequence is "valid" when t_m <= 1 and a 2 at position j forces zeros at all
@@ -51,6 +57,12 @@ def generator_at(n: int, k: int, i: int) -> int:
     return (2**k + 1) * 2 ** (n + i) - (2**k - 1)
 
 
+def _affine(n: int, k: int) -> tuple[int, int]:
+    """(A, B) with s_i = A*2^i - B: A = (2^k+1)*2^n and B = 2^k - 1."""
+    _check_params(n, k)
+    return ((1 << k) + 1) << n, (1 << k) - 1
+
+
 def delta(n: int, k: int) -> int:
     """Offset so that s_0 .. s_(n+delta) is the minimal generating set."""
     _check_params(n, k)
@@ -65,8 +77,11 @@ def embedding_dimension(n: int, k: int) -> int:
 
 def minimal_generating_set(n: int, k: int) -> Semigroup:
     """The minimal system of generators {s_0, ..., s_(n+delta)}."""
-    top = n + delta(n, k)
-    return make_semigroup(generator_at(n, k, i) for i in range(top + 1))
+    a, b = _affine(n, k)
+    gens = [a - b]
+    for _ in range(n + delta(n, k)):
+        gens.append(2 * gens[-1] + b)           # s_(i+1) = 2*s_i + B
+    return make_semigroup(gens)
 
 
 def case_of(n: int, k: int) -> Case:
@@ -93,45 +108,55 @@ def coeff_value(n: int, k: int, t) -> int:
     return sum(ti * generator_at(n, k, i) for i, ti in enumerate(t, start=1))
 
 
-def _max_scalar(length: int) -> int:
-    # largest P of a valid sequence: a single 2 at the top position
-    return 2 * (2**length - 1)
-
-
 def coeff_solve(target: int, length: int) -> tuple[int, ...] | None:
     """The unique valid prefix (t_1..t_length) with P = target.
 
-    Returns None when target lies outside [0, 2*(2^length - 1)].  Within
-    that range the solution exists and is unique (checked exhaustively for
-    lengths 1..12 in the test suite); a 2 is allowed at any position here
-    because prefixes are completed by later coefficients.
+    P = sum t_i*(2^i - 1) with a 2 only as the lowest nonzero digit is the
+    canonical skew-binary number system (Myers, "An applicative
+    random-access stack", IPL 1983): every P in [0, 2*(2^length - 1)] has
+    exactly one such prefix, found greedily from the top position.  The test
+    suite also checks this exhaustively for lengths 1..12.  A 2 is allowed
+    at any position here because prefixes are completed by later
+    coefficients.  Returns None when target lies outside that range.
     """
-    if target < 0:
-        return None
-    return _solve(target, length)
+    t = [0] * length
+    x = target
+    w = (1 << length) - 1                       # weight of position length
+    for i in range(length - 1, -1, -1):
+        if x == 2 * w:
+            # a 2 forces zeros below it
+            t[i] = 2
+            x = 0
+            break
+        if x >= w:
+            t[i] = 1
+            x -= w
+        w >>= 1
+    return tuple(t) if x == 0 else None
 
 
-def _solve(x: int, length: int) -> tuple[int, ...] | None:
-    if x > _max_scalar(length):
-        return None
-    if length == 0:
-        return () if x == 0 else None
-    w = 2**length - 1
-    if x == 2 * w:
-        # a 2 at the top forces zeros below
-        return (0,) * (length - 1) + (2,)
-    for t in (1, 0):
-        if x - t * w >= 0:
-            sub = _solve(x - t * w, length - 1)
-            if sub is not None:
-                return sub + (t,)
-    return None
+def _prefix_sum(a: int, b: int, target: int, length: int) -> int:
+    """sum t_i*s_i over the prefix solving P = target.
+
+    With s_i = A*2^i - B and c = sum t_i this is A*(P + c) - B*c, since
+    sum t_i*2^i = P + c.
+    """
+    t = coeff_solve(target, length)
+    assert t is not None
+    c = sum(t)
+    return a * (target + c) - b * c
+
+
+def _block_sum(a: int, b: int, lo: int, hi: int) -> int:
+    """s_lo + ... + s_hi = A*(2^(hi+1) - 2^lo) - (hi-lo+1)*B."""
+    return a * ((2 << hi) - (1 << lo)) - (hi - lo + 1) * b
 
 
 def max_apery(n: int, k: int) -> int:
     """max(Ap(GT(n,k), s_0)) by the per-case closed form."""
     case = case_of(n, k)
-    s = lambda i: generator_at(n, k, i)
+    a, b = _affine(n, k)
+    s = lambda i: (a << i) - b
     if case is Case.N0:
         return s(1)
     if case is Case.K1:
@@ -139,56 +164,16 @@ def max_apery(n: int, k: int) -> int:
     if case is Case.EXCEPTION_1_2:
         return 74
     if case is Case.KLT_N:
-        t = coeff_solve(2 ** (n - 1) - 2**k + 2, n - 2)
-        assert t is not None
-        return _q_of(n, k, t) + s(n - 1) + s(n + k)
+        return _prefix_sum(a, b, 2 ** (n - 1) - 2**k + 2, n - 2) + s(n - 1) + s(n + k)
     if case is Case.KEQ_N:
         return s(1) + s(2 * n)
     # KGT_N
-    t = coeff_solve(2**n + n, k - 1)
-    assert t is not None
-    return _q_of(n, k, t) + sum(s(i) for i in range(k, n + k))
-
-
-def _q_of(n: int, k: int, prefix) -> int:
-    return sum(ti * generator_at(n, k, i) for i, ti in enumerate(prefix, start=1))
+    return _prefix_sum(a, b, 2**n + n, k - 1) + _block_sum(a, b, k, n + k - 1)
 
 
 def frobenius_closed(n: int, k: int) -> int:
     """F(GT(n,k)) = max(Ap(GT(n,k), s_0)) - s_0."""
     return max_apery(n, k) - generator_at(n, k, 0)
-
-
-def frobenius_k2_closed(n: int) -> int:
-    """F(GT(n,2)) = 25*2^(2n) - 5*2^n - 9, valid for n >= 3.
-
-    Derived from the k < n branch with k = 2, where the scalar equation
-    P_(n-2) = 2^(n-1) - 2 has the unique solution t_(n-2) = 2, so
-    F = 2*s_(n-2) + s_(n-1) + s_(n+2) - s_0.  The formula is sometimes
-    quoted with leading constant 85*2^(2n-2) instead of 100*2^(2n-2);
-    expanding the generator sum shows 100 is correct, and the oracle sweep
-    confirms it.  n = 2 is excluded because GT(2,2) falls in the k = n
-    branch (F = s_1 + s_4 - s_0 = 337, matching neither constant).
-    """
-    if n < 3:
-        raise ValueError(f"closed k=2 formula needs n >= 3, got {n}")
-    return 25 * 2 ** (2 * n) - 5 * 2**n - 9
-
-
-def max_apery_fast_kltn(n: int, k: int) -> int:
-    """Shortcut for max(Ap) when 2 <= k < n <= 2^k + k - 3.
-
-    Uses the forced block t_k = ... = t_(n-1) = 1 and the smaller scalar
-    equation P_(k-1) = n + 1 - k.
-    """
-    if not (2 <= k < n):
-        raise ValueError(f"requires 2 <= k < n, got ({n}, {k})")
-    if n > 2**k + k - 3:
-        raise ValueError(f"requires n <= 2^k + k - 3, got n={n}, k={k}")
-    t = coeff_solve(n + 1 - k, k - 1)
-    assert t is not None
-    s = lambda i: generator_at(n, k, i)
-    return _q_of(n, k, t) + sum(s(i) for i in range(k, n)) + s(n + k)
 
 
 def _subset_sums(vals: list[int]) -> list[int]:
@@ -342,15 +327,39 @@ def apery_coeffs(n: int, k: int) -> list[tuple[int, ...]]:
         coeffs.append(lows[j][c & low_mask] + highs[j][(c & full) >> h])
     return coeffs
 
-def genus_from_apery(s0: int, values) -> int:
-    """g = (sum of Apery values)/s0 - (s0-1)/2, checked to divide exactly."""
-    num = 2 * sum(values) - s0 * (s0 - 1)
-    q, r = divmod(num, 2 * s0)
-    if r != 0:
-        raise AssertionError("genus division inexact")
-    return q
+
+def _popcount_sum(count: int) -> int:
+    """sum of popcount(x) over 0 <= x < count.
+
+    Split [0, count) at each set bit b of count: the x that match count
+    above b and have a 0 at b are 2^b numbers, each with the ``ones`` set
+    bits of count above b and b free bits below, so their popcounts sum to
+    ones*2^b + b*2^(b-1).
+    """
+    total = ones = 0
+    for b in range(count.bit_length() - 1, -1, -1):
+        if count >> b & 1:
+            total += (ones << b) + (b << b >> 1)
+            ones += 1
+    return total
 
 
 def genus_closed(n: int, k: int) -> int:
-    """g(GT(n,k)) from the closed Apery set; the division must be exact."""
-    return genus_from_apery(generator_at(n, k, 0), apery_set_closed(n, k))
+    """g(GT(n,k)) = (sum of Ap(GT(n,k), s_0))/s_0 - (s_0-1)/2 (Selmer), the
+    sum taken run by run; the division must be exact.
+
+    The mask tail << j is worth 2A*2^j*tail - B*popcount(tail), so a run
+    (j, count) sums to A*2^j*count*(count-1) - B*(popcount sum below count)
+    plus count*2*s_j when j >= 1.  The cost is that of :func:`_apery_runs`.
+    """
+    a, b = _affine(n, k)
+    total = 0
+    for j, count in _apery_runs(n, k):
+        total += (a << j) * count * (count - 1) - b * _popcount_sum(count)
+        if j:
+            total += 2 * count * ((a << j) - b)
+    s0 = a - b
+    q, r = divmod(2 * total - s0 * (s0 - 1), 2 * s0)
+    if r != 0:
+        raise AssertionError("genus division inexact")
+    return q

@@ -97,7 +97,7 @@ def verify_point(n: int, k: int) -> PointReport:
             f"{len(oracle_ap)} values, max {oracle_ap[-1]}",
         ))
 
-    closed_g = thabit.genus_from_apery(s0, closed_ap)
+    closed_g = thabit.genus_closed(n, k)
     oracle_g = gens.genus()
     if closed_g != oracle_g:
         mismatches.append(Mismatch("genus", str(closed_g), str(oracle_g)))

@@ -1,9 +1,15 @@
-"""The spec-literal Apery coefficient set of GT(n, k), as the tests' reference.
+"""Spec-literal forms of the GT(n, k) statements, as the tests' reference.
 
 Every sequence over {0, 1, 2} obeying the 2-forces-earlier-zeros rule is
 walked as a tuple and kept or dropped by the paper's per-case predicates.
 ``gtsg.thabit`` enumerates the same set as runs of bitmasks; the tests
 check the two against each other.
+
+The genus is Selmer's formula applied to the listed Apery values.  The
+maximal Apery element is written out as its full coefficient sequence
+and summed term by term, where ``gtsg.thabit`` uses geometric sums; the
+k = 2 Frobenius formula and the k < n shortcut are kept here as the
+paper states them.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from gtsg.thabit import Case, case_of, coeff_value, delta
+from gtsg.thabit import Case, case_of, coeff_solve, coeff_value, delta
 
 
 def _scalar(prefix) -> int:
@@ -106,3 +112,71 @@ def iter_apery_coeffs(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def sorted_apery_rows(n: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
     """(Q-value, sequence) for every reference sequence, by value."""
     return sorted((coeff_value(n, k, t), t) for t in iter_apery_coeffs(n, k))
+
+
+def max_apery_coeffs(n: int, k: int) -> tuple[int, ...]:
+    """The full coefficient sequence of max(Ap(GT(n,k), s_0)), per case.
+
+    The prefixes of the k < n and k > n cases come from ``coeff_solve``,
+    which the tests check on its own by round trips.
+    """
+    case = case_of(n, k)
+    if case is Case.N0:
+        return (1,)
+    if case is Case.EXCEPTION_1_2:
+        return (0, 2)                           # 74 = 2*s_2
+    if case is Case.K1:
+        return (0,) * (n - 1) + (1, 1)          # s_n + s_(n+1)
+    if case is Case.KEQ_N:
+        return (1,) + (0,) * (2 * n - 2) + (1,)  # s_1 + s_(2n)
+    if case is Case.KLT_N:
+        # prefix solving P_(n-2) = 2^(n-1) - 2^k + 2, then s_(n-1) + s_(n+k)
+        prefix = coeff_solve(2 ** (n - 1) - 2**k + 2, n - 2)
+        return prefix + (1,) + (0,) * k + (1,)
+    # KGT_N: prefix solving P_(k-1) = 2^n + n, then s_k + ... + s_(n+k-1)
+    return coeff_solve(2**n + n, k - 1) + (1,) * n
+
+
+def max_apery_term_by_term(n: int, k: int) -> int:
+    """max(Ap(GT(n,k), s_0)) as sum t_i*s_i, one generator at a time."""
+    return coeff_value(n, k, max_apery_coeffs(n, k))
+
+
+def frobenius_k2_closed(n: int) -> int:
+    """F(GT(n,2)) = 25*2^(2n) - 5*2^n - 9, valid for n >= 3.
+
+    Derived from the k < n branch with k = 2, where the scalar equation
+    P_(n-2) = 2^(n-1) - 2 has the unique solution t_(n-2) = 2, so
+    F = 2*s_(n-2) + s_(n-1) + s_(n+2) - s_0.  The formula is sometimes
+    quoted with leading constant 85*2^(2n-2) instead of 100*2^(2n-2);
+    expanding the generator sum shows 100 is correct, and the oracle sweep
+    confirms it.  n = 2 is excluded because GT(2,2) falls in the k = n
+    branch (F = s_1 + s_4 - s_0 = 337, matching neither constant).
+    """
+    if n < 3:
+        raise ValueError(f"closed k=2 formula needs n >= 3, got {n}")
+    return 25 * 2 ** (2 * n) - 5 * 2**n - 9
+
+
+def max_apery_fast_kltn(n: int, k: int) -> int:
+    """Shortcut for max(Ap) when 2 <= k < n <= 2^k + k - 3.
+
+    Uses the forced block t_k = ... = t_(n-1) = 1 and the smaller scalar
+    equation P_(k-1) = n + 1 - k.
+    """
+    if not (2 <= k < n):
+        raise ValueError(f"requires 2 <= k < n, got ({n}, {k})")
+    if n > 2**k + k - 3:
+        raise ValueError(f"requires n <= 2^k + k - 3, got n={n}, k={k}")
+    t = coeff_solve(n + 1 - k, k - 1)
+    assert t is not None
+    return coeff_value(n, k, t + (1,) * (n - k) + (0,) * k + (1,))
+
+
+def genus_from_apery(s0: int, values) -> int:
+    """g = (sum of Apery values)/s0 - (s0-1)/2, checked to divide exactly."""
+    num = 2 * sum(values) - s0 * (s0 - 1)
+    q, r = divmod(num, 2 * s0)
+    if r != 0:
+        raise AssertionError("genus division inexact")
+    return q

@@ -1,11 +1,14 @@
 """End-to-end tests for the gtsg command line, driven through main()."""
 
+import contextlib
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+import spec_reference
 from gtsg import cli, thabit
 
 
@@ -134,6 +137,43 @@ class TestFrobenius:
         assert json.loads(out)["frobenius"] == "81483"
 
 
+@contextlib.contextmanager
+def whole_ints():
+    """Lift Python's int/str digit limit while the test parses."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestHugeIntegers:
+    """Results past Python's 4300-digit int/str limit print in full."""
+
+    def test_k_greater_than_n(self, capsys):
+        n, k = 3, 10_000
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "frobenius", "--n", str(n), "--k", str(k))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit    # restored after main
+        expected = spec_reference.max_apery_term_by_term(n, k) - thabit.generator_at(n, k, 0)
+        with whole_ints():
+            assert len(str(expected)) > 4300
+            assert int(out.strip().removeprefix("F = ")) == expected
+
+    def test_k_equal_n(self, capsys):
+        n = 8_000
+        code, out, err = run(capsys, "frobenius", "--n", str(n), "--k", str(n),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        s = lambda i: thabit.generator_at(n, n, i)
+        with whole_ints():
+            value = int(json.loads(out)["frobenius"])
+            assert len(str(value)) > 4300
+        assert value == s(1) + s(2 * n) - s(0)
+
+
 class TestOracle:
     def test_apery(self, capsys):
         code, out, _ = run(capsys, "oracle", "apery", "--gens", "7,11,13")
@@ -239,6 +279,24 @@ class TestUsageErrors:
         code, _, err = run(capsys, "frobenius", "--n", "-1", "--k", "2")
         assert code == 2
         assert "n must be" in err
+
+
+class TestUnexpectedErrors:
+    """Any other exception is one stderr line and exit 2, never exit 1."""
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    @pytest.mark.parametrize("name,argv", [
+        ("max_apery", ["frobenius", "--n", "5", "--k", "3"]),
+        ("genus_closed", ["info", "--n", "5", "--k", "3", "--format", "json"]),
+    ])
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, exc, name, argv):
+        def boom(n, k):
+            raise exc("injected")
+        monkeypatch.setattr(thabit, name, boom)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"gtsg: error: {exc.__name__}: injected\n"
 
 
 class TestVerifyUsageErrors:

@@ -1,8 +1,11 @@
 """Tests for the GT(n,k) closed forms, pinned to known reference values."""
 
+import random
+
 import pytest
 
 import spec_reference
+from gtsg import verify
 from gtsg.thabit import (
     Case,
     apery_coeffs,
@@ -13,13 +16,12 @@ from gtsg.thabit import (
     delta,
     embedding_dimension,
     frobenius_closed,
-    frobenius_k2_closed,
     generator_at,
     genus_closed,
     max_apery,
-    max_apery_fast_kltn,
     minimal_generating_set,
 )
+from spec_reference import frobenius_k2_closed, genus_from_apery, max_apery_fast_kltn
 
 
 class TestGenerators:
@@ -102,6 +104,26 @@ class TestCoeffSolve:
     def test_range_limits(self):
         assert coeff_solve(2 * (2**4 - 1), 4) == (0, 0, 0, 2)
 
+    @pytest.mark.parametrize("length", [10_000, 12_345])
+    def test_round_trip_long(self, length):
+        # the greedy solver neither recurses nor enumerates, so lengths far
+        # past the interpreter's recursion limit solve too
+        top = 2 * (2**length - 1)
+        rng = random.Random(length)
+        targets = [0, 1, 2**length - 1, top - 1, top, 2**length + length]
+        targets += [rng.randrange(top + 1) for _ in range(5)]
+        for target in targets:
+            t = coeff_solve(target, length)
+            assert t is not None and len(t) == length
+            assert sum(ti * (2**i - 1) for i, ti in enumerate(t, start=1)) == target
+            twos = [i for i, ti in enumerate(t) if ti == 2]
+            assert len(twos) <= 1
+            if twos:
+                assert not any(t[: twos[0]])
+        assert coeff_solve(top, length) == (0,) * (length - 1) + (2,)
+        assert coeff_solve(top + 1, length) is None
+        assert coeff_solve(-1, length) is None
+
 
 class TestMaxApery:
     def test_reference_values(self):
@@ -110,6 +132,18 @@ class TestMaxApery:
         assert max_apery(2, 3) == 1124
         assert max_apery(1, 2) == 74
         assert max_apery(3, 2) == 1588  # 2s_1 + s_2 + s_5
+
+    def test_term_by_term_small(self):
+        for n in range(0, 41):
+            for k in range(1, 41):
+                assert max_apery(n, k) == spec_reference.max_apery_term_by_term(n, k), (n, k)
+
+    @pytest.mark.parametrize("n,k", [
+        (0, 10_000), (10_000, 1), (10_000, 3), (10_500, 10_000), (10_000, 10_000),
+        (3, 10_000), (2_000, 10_001),
+    ])
+    def test_term_by_term_large(self, n, k):
+        assert max_apery(n, k) == spec_reference.max_apery_term_by_term(n, k)
 
     def test_fast_path(self):
         assert max_apery_fast_kltn(5, 3) == 81764
@@ -233,6 +267,11 @@ class TestGenusClosed:
 
     def test_exception_pair(self):
         assert genus_closed(1, 2) == 38  # (0+17+34+37+54+71+74)/7 - 3
+
+    def test_runs_match_enumerated_selmer_sum(self):
+        for n, k in verify.grid_points(s0_max=200_000):
+            s0 = generator_at(n, k, 0)
+            assert genus_closed(n, k) == genus_from_apery(s0, apery_set_closed(n, k)), (n, k)
 
     def test_k1_small(self):
         # T(1) = <5, 11, 23>
