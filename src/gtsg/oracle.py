@@ -46,12 +46,6 @@ class AperyTable:
     modulus: int
     w: tuple[int, ...]
 
-    def max(self) -> int:
-        return max(self.w)
-
-    def values(self) -> set[int]:
-        return set(self.w)
-
 
 @dataclass(frozen=True)
 class Semigroup:

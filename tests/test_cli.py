@@ -280,6 +280,35 @@ class TestUsageErrors:
         assert code == 2
         assert "n must be" in err
 
+    @pytest.mark.parametrize("argv,err_line", [
+        (["apery", "--n", "2", "--k", "0"], "gtsg: error: k must be >= 1, got 0\n"),
+        (["apery", "--n", "-3", "--k", "1"], "gtsg: error: n must be >= 0, got -3\n"),
+        (["info", "--n", "1", "--k", "0"], "gtsg: error: k must be >= 1, got 0\n"),
+        (["frobenius", "--n", "-1", "--k", "2"], "gtsg: error: n must be >= 0, got -1\n"),
+    ], ids=["apery-k", "apery-n", "info-k", "frobenius-n"])
+    def test_bad_n_k_prints_nothing_on_stdout(self, capsys, argv, err_line):
+        # thabit checks n and k before any work, so nothing reaches stdout
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", err_line)
+
+    def test_frobenius_has_no_force(self, capsys):
+        # the closed form never enumerates, so there is no cap to lift
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobenius", "--n", "5", "--k", "3", "--force"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --force" in captured.err
+
+
+class TestParserBuiltOnce:
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        def boom():
+            raise AssertionError("build_parser called after import")
+        monkeypatch.setattr(cli, "build_parser", boom)
+        code, out, err = run(capsys, "frobenius", "--n", "5", "--k", "3")
+        assert (code, out, err) == (0, "F = 81483\n", "")
+
 
 class TestUnexpectedErrors:
     """Any other exception is one stderr line and exit 2, never exit 1."""
@@ -312,3 +341,151 @@ class TestVerifyUsageErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "jobs" in err
+
+
+# The literal stdout of the record commands in every format.  CSV lines end
+# in "\r\n" (Python's csv dialect), except for oracle, whose csv keeps its
+# older hand-joined form.
+EXACT_STDOUT = {
+    ('info', '--n', '5', '--k', '3'): {
+        'text': ('GT(5,3)\n'
+                 'generators = 281 569 1145 2297 4601 9209 18425 36857 73721\n'
+                 'delta = 3\n'
+                 'e = 9\n'
+                 'case = KLT_N\n'
+                 'max_apery = 81764\n'
+                 'F = 81483\n'
+                 'genus = 41290\n'),
+        'json': ('{"case": "KLT_N", "delta": "3", "e": "9", "frobenius": '
+                 '"81483", "generators": ["281", "569", "1145", "2297", '
+                 '"4601", "9209", "18425", "36857", "73721"], "genus": '
+                 '"41290", "k": "3", "max_apery": "81764", "n": "5"}\n'),
+        'csv': ('n,k,generators,delta,e,case,max_apery,frobenius,genus\r\n'
+                '5,3,281 569 1145 2297 4601 9209 18425 36857 '
+                '73721,3,9,KLT_N,81764,81483,41290\r\n'),
+    },
+    ('info', '--n', '1', '--k', '2'): {
+        'text': ('GT(1,2)\n'
+                 'generators = 7 17 37\n'
+                 'delta = 1\n'
+                 'e = 3\n'
+                 'case = EXCEPTION_1_2\n'
+                 'max_apery = 74\n'
+                 'F = 67\n'
+                 'genus = 38\n'),
+        'json': ('{"case": "EXCEPTION_1_2", "delta": "1", "e": "3", '
+                 '"frobenius": "67", "generators": ["7", "17", "37"], '
+                 '"genus": "38", "k": "2", "max_apery": "74", "n": "1"}\n'),
+        'csv': ('n,k,generators,delta,e,case,max_apery,frobenius,genus\r\n'
+                '1,2,7 17 37,1,3,EXCEPTION_1_2,74,67,38\r\n'),
+    },
+    ('info', '--n', '30', '--k', '3'): {
+        'text': ('GT(30,3)\n'
+                 'generators = 9663676409 19327352825 38654705657 77309411321 '
+                 '154618822649 309237645305 618475290617 1236950581241 '
+                 '2473901162489 4947802324985 9895604649977 19791209299961 '
+                 '39582418599929 79164837199865 158329674399737 '
+                 '316659348799481 633318697598969 1266637395197945 '
+                 '2533274790395897 5066549580791801 10133099161583609 '
+                 '20266198323167225 40532396646334457 81064793292668921 '
+                 '162129586585337849 324259173170675705 648518346341351417 '
+                 '1297036692682702841 2594073385365405689 5188146770730811385 '
+                 '10376293541461622777 20752587082923245561 '
+                 '41505174165846491129 83010348331692982265\n'
+                 'delta = 3\n'
+                 'e = 34\n'
+                 'case = KLT_N\n'
+                 'max_apery = 93386641873154605000\n'
+                 'F = 93386641863490928591\n'
+                 'genus = (skipped: s0 exceeds enumeration cap; use --force)\n'),
+        'json': ('{"case": "KLT_N", "delta": "3", "e": "34", "frobenius": '
+                 '"93386641863490928591", "generators": ["9663676409", '
+                 '"19327352825", "38654705657", "77309411321", '
+                 '"154618822649", "309237645305", "618475290617", '
+                 '"1236950581241", "2473901162489", "4947802324985", '
+                 '"9895604649977", "19791209299961", "39582418599929", '
+                 '"79164837199865", "158329674399737", "316659348799481", '
+                 '"633318697598969", "1266637395197945", "2533274790395897", '
+                 '"5066549580791801", "10133099161583609", '
+                 '"20266198323167225", "40532396646334457", '
+                 '"81064793292668921", "162129586585337849", '
+                 '"324259173170675705", "648518346341351417", '
+                 '"1297036692682702841", "2594073385365405689", '
+                 '"5188146770730811385", "10376293541461622777", '
+                 '"20752587082923245561", "41505174165846491129", '
+                 '"83010348331692982265"], "genus": null, "k": "3", '
+                 '"max_apery": "93386641873154605000", "n": "30"}\n'),
+        'csv': ('n,k,generators,delta,e,case,max_apery,frobenius,genus\r\n'
+                '30,3,9663676409 19327352825 38654705657 77309411321 '
+                '154618822649 309237645305 618475290617 1236950581241 '
+                '2473901162489 4947802324985 9895604649977 19791209299961 '
+                '39582418599929 79164837199865 158329674399737 '
+                '316659348799481 633318697598969 1266637395197945 '
+                '2533274790395897 5066549580791801 10133099161583609 '
+                '20266198323167225 40532396646334457 81064793292668921 '
+                '162129586585337849 324259173170675705 648518346341351417 '
+                '1297036692682702841 2594073385365405689 5188146770730811385 '
+                '10376293541461622777 20752587082923245561 '
+                '41505174165846491129 '
+                '83010348331692982265,3,34,KLT_N,93386641873154605000,93386641863490928591,\r\n'),
+    },
+    ('frobenius', '--n', '5', '--k', '3'): {
+        'text': 'F = 81483\n',
+        'json': '{"frobenius": "81483", "k": "3", "n": "5"}\n',
+        'csv': ('n,k,frobenius\r\n'
+                '5,3,81483\r\n'),
+    },
+    ('oracle', 'apery', '--gens', '7,11,13'): {
+        'text': '0 11 13 22 24 26 37\n',
+        'json': ('{"apery": ["0", "11", "13", "22", "24", "26", "37"], '
+                 '"gens": ["7", "11", "13"], "modulus": "7"}\n'),
+        'csv': ('modulus,apery\n'
+                '7,[0, 11, 13, 22, 24, 26, 37]\n'),
+    },
+    ('oracle', 'frobenius', '--gens', '7,11,13'): {
+        'text': '30\n',
+        'json': '{"frobenius": "30", "gens": ["7", "11", "13"]}\n',
+        'csv': ('frobenius\n'
+                '30\n'),
+    },
+    ('oracle', 'genus', '--gens', '7,11,13'): {
+        'text': '16\n',
+        'json': '{"gens": ["7", "11", "13"], "genus": "16"}\n',
+        'csv': ('genus\n'
+                '16\n'),
+    },
+    ('oracle', 'membership', '--gens', '7,11,13', '--x', '30'): {
+        'text': 'not-member\n',
+        'json': '{"gens": ["7", "11", "13"], "member": false, "x": "30"}\n',
+        'csv': ('x,member\n'
+                '30,False\n'),
+    },
+    ('verify', '--n-max', '1', '--k-max', '2', '--s0-max', '1000'): {
+        'text': ('GT(0,1) s0=2 match\n'
+                 'GT(0,2) s0=2 match\n'
+                 'GT(1,1) s0=5 match\n'
+                 'GT(1,2) s0=7 match\n'
+                 '4 points, 0 mismatched\n'),
+        'json': ('{"mismatched": "0", "points": [{"k": "1", "mismatches": [], '
+                 '"n": "0", "s0": "2", "status": "match"}, {"k": "2", '
+                 '"mismatches": [], "n": "0", "s0": "2", "status": "match"}, '
+                 '{"k": "1", "mismatches": [], "n": "1", "s0": "5", "status": '
+                 '"match"}, {"k": "2", "mismatches": [], "n": "1", "s0": "7", '
+                 '"status": "match"}], "total": "4"}\n'),
+        'csv': ('n,k,s0,status,detail\r\n'
+                '0,1,2,match,\r\n'
+                '0,2,2,match,\r\n'
+                '1,1,5,match,\r\n'
+                '1,2,7,match,\r\n'),
+    },
+}
+
+
+class TestExactBytes:
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("argv", list(EXACT_STDOUT), ids=" ".join)
+    def test_stdout(self, capsys, monkeypatch, argv, fmt):
+        monkeypatch.delenv("GTSG_S0_CAP", raising=False)   # (30, 3) skips the genus
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == EXACT_STDOUT[argv][fmt]
