@@ -36,7 +36,15 @@ class TooLarge(Exception):
 
 def _apery_cap() -> int:
     env = os.environ.get("GTSG_S0_CAP")
-    return int(env) if env else DEFAULT_APERY_CAP
+    if not env:
+        return DEFAULT_APERY_CAP
+    try:
+        cap = int(env)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"GTSG_S0_CAP must be a non-negative integer, got {env!r}")
 
 
 def _jsonify(obj):
@@ -168,8 +176,10 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    gens = make_semigroup(int(x) for x in args.gens.split(","))
     what = args.what
+    if args.x is not None and what not in ("apery", "membership"):
+        raise ValueError("--x applies only to apery and membership")
+    gens = make_semigroup(int(x) for x in args.gens.split(","))
     # every table is taken mod the smallest generator, and apery's mod --x too
     modulus = gens.gens[0]
     if what == "apery" and args.x is not None:

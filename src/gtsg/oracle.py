@@ -111,8 +111,6 @@ class Semigroup:
         elements of S, which (generators being deduplicated) happens iff
         g - h is a nonzero element for some smaller generator h.
         """
-        if self.gens[0] == 1:
-            return Semigroup((1,))
         kept = tuple(
             g
             for g in self.gens
@@ -140,7 +138,8 @@ def make_semigroup(gens) -> Semigroup:
     return Semigroup(tuple(cleaned))
 
 
-@lru_cache(maxsize=64)
+# one table: every caller is done with a table before it asks for another
+@lru_cache(maxsize=1)
 def _apery_w(gens: tuple[int, ...], x: int) -> tuple[int, ...]:
     """Shortest-path distances on the residue graph mod x.
 

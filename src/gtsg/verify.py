@@ -77,37 +77,39 @@ def grid_points(n_max: int | None = None, k_max: int | None = None,
     return points
 
 
+def _sizes(values: list[int]) -> str:
+    return f"{len(values)} values, max {values[-1]}"
+
+
+def _compare(field: str, closed, oracle, show=str) -> Mismatch | None:
+    """A Mismatch when ``closed()`` differs from ``oracle``, or when it fails
+    its own check: a closed form raises AssertionError then, and the message
+    stands as the closed value.  None when they agree."""
+    try:
+        value = closed()
+    except AssertionError as exc:
+        return Mismatch(field, str(exc), show(oracle))
+    if value != oracle:
+        return Mismatch(field, show(value), show(oracle))
+    return None
+
+
 def verify_point(n: int, k: int) -> PointReport:
     """Compare every closed form at one grid point against the oracle."""
     gens = thabit.minimal_generating_set(n, k)
     s0 = gens.gens[0]
-    mismatches = []
-
-    closed_fr = thabit.frobenius_closed(n, k)
-    oracle_fr = gens.frobenius()
-    if closed_fr != oracle_fr:
-        mismatches.append(Mismatch("frobenius", str(closed_fr), str(oracle_fr)))
-
-    closed_ap = thabit.apery_set_closed(n, k)
-    oracle_ap = sorted(gens.apery_set(s0).w)
-    if closed_ap != oracle_ap:
-        mismatches.append(Mismatch(
-            "apery_set",
-            f"{len(closed_ap)} values, max {closed_ap[-1]}",
-            f"{len(oracle_ap)} values, max {oracle_ap[-1]}",
-        ))
-
-    closed_g = thabit.genus_closed(n, k)
-    oracle_g = gens.genus()
-    if closed_g != oracle_g:
-        mismatches.append(Mismatch("genus", str(closed_g), str(oracle_g)))
+    found = [
+        _compare("frobenius", lambda: thabit.frobenius_closed(n, k), gens.frobenius()),
+        _compare("apery_set", lambda: thabit.apery_set_closed(n, k),
+                 sorted(gens.apery_set(s0).w), _sizes),
+        _compare("genus", lambda: thabit.genus_closed(n, k), gens.genus()),
+    ]
 
     reduced = gens.minimal_generators()
     if reduced.gens != gens.gens:
-        mismatches.append(Mismatch(
-            "minimal_generators", str(gens.gens), str(reduced.gens)))
+        found.append(Mismatch("minimal_generators", str(gens.gens), str(reduced.gens)))
 
-    return PointReport(n, k, s0, tuple(mismatches))
+    return PointReport(n, k, s0, tuple(m for m in found if m is not None))
 
 
 def _verify_point_star(nk: tuple[int, int]) -> PointReport:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import spec_reference
-from gtsg import cli, thabit
+from gtsg import cli, thabit, verify
 
 
 def run(capsys, *argv):
@@ -211,6 +211,12 @@ class TestOracle:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("what", ["frobenius", "genus"])
+    def test_x_applies_only_to_apery_and_membership(self, capsys, what):
+        code, out, err = run(capsys, "oracle", what, "--gens", "7,11,13", "--x", "30")
+        assert (code, out) == (2, "")
+        assert err == "gtsg: error: --x applies only to apery and membership\n"
+
 
 class TestOracleCap:
     def test_apery_modulus_over_cap_exits_2(self, capsys, monkeypatch):
@@ -237,6 +243,16 @@ class TestOracleCap:
                            "--x", "13")
         assert code == 0
         assert len(out.split()) == 13
+
+
+class TestCapVariable:
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_cap_names_the_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GTSG_S0_CAP", value)
+        code, out, err = run(capsys, "apery", "--n", "1", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == ("gtsg: error: GTSG_S0_CAP must be a non-negative integer, "
+                       f"got '{value}'\n")
 
 
 class TestVerify:
@@ -267,6 +283,28 @@ class TestVerify:
         _, par, _ = run(capsys, "verify", "--n-max", "1", "--k-max", "3",
                         "--s0-max", "2000", "--jobs", "2")
         assert seq == par
+
+    def test_failed_self_check_is_a_mismatch(self, capsys, monkeypatch):
+        # one Apery value short at (1,1): apery_set_closed fails its size
+        # check and genus_closed its exact division, both AssertionError
+        runs = thabit._apery_runs
+
+        def short(n, k):
+            (j, count), *rest = runs(n, k)
+            return [(j, count - 1), *rest] if (n, k) == (1, 1) else [(j, count), *rest]
+        monkeypatch.setattr(thabit, "_apery_runs", short)
+        code, out, err = run(capsys, "verify", "--n-max", "1", "--k-max", "2",
+                             "--s0-max", "1000", "--jobs", "1")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        points = verify.grid_points(1, 2, 1000)
+        assert [line.split(" s0=")[0] for line in lines[:-1]] == \
+            [f"GT({n},{k})" for n, k in points]
+        bad = [line for line in lines if "MISMATCH" in line]
+        assert bad == [lines[points.index((1, 1))]]
+        assert "apery_set: closed=closed Apery set for (1,1) has 4 values, expected 5" in bad[0]
+        assert "genus: closed=genus division inexact" in bad[0]
+        assert lines[-1] == f"{len(points)} points, 1 mismatched"
 
 
 class TestUsageErrors:

@@ -5,10 +5,16 @@ representability sieve below, which never touches the shortest-path code
 it is checking.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtsg
+import gtsg.cli
+from gtsg import oracle
 from gtsg.oracle import (
     EmptyInput,
     GcdNotOne,
@@ -16,6 +22,7 @@ from gtsg.oracle import (
     ZeroModulus,
     make_semigroup,
 )
+from gtsg.verify import verify_grid
 
 
 def representable_flags(gens, limit):
@@ -171,6 +178,36 @@ class TestMinimalGenerators:
         upper = 2 * S.frobenius() + 2
         assert [S.is_member(x) for x in range(upper + 1)] == \
             [M.is_member(x) for x in range(upper + 1)]
+
+
+class TestOneTable:
+    """The oracle keeps only the table it built last: every caller is done
+    with one semigroup's table before it asks for the next one's."""
+
+    def test_sweep_holds_one_table_and_builds_each_once(self):
+        oracle._apery_w.cache_clear()
+        report = verify_grid(s0_max=5000, jobs=1)
+        info = oracle._apery_w.cache_info()
+        assert info.currsize == 1
+        assert info.misses == len(report.points)
+
+    def test_benchmark_tracer_sees_the_cold_build(self, capsys):
+        # perfbench/spans.py patches _apery_w and reads its cache_info to
+        # tell a cold build (one oracle.table span) from a hit
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        oracle._apery_w.cache_clear()
+        tracer = spans.Tracer()
+        tracer.install(gtsg)
+        try:
+            code = gtsg.cli.main(["oracle", "frobenius", "--gens", "7,11,13"])
+        finally:
+            tracer.uninstall()
+        assert (code, capsys.readouterr().out) == (0, "30\n")
+        calls, _, _, residues = tracer.agg["oracle.table"]
+        assert (calls, residues) == (1, 7)
 
 
 gen_lists = st.lists(st.integers(min_value=1, max_value=120),
