@@ -303,8 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _glue_gens(argv: list[str]) -> list[str]:
+    """Write ``--gens -3,5`` as ``--gens=-3,5``.
+
+    argparse takes a value that starts with "-" and is not a plain number
+    for an option, so ``-3,5`` would be a usage error instead of reaching
+    ``make_semigroup``, which reports the negative generator.  No option
+    starts with "-" and a digit.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--gens" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--gens={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_glue_gens(sys.argv[1:] if argv is None else argv))
     # closed forms reach thousands of digits; print them whole (Python
     # 3.10.7+ refuses int <-> str beyond 4300 digits by default)
     limit = getattr(sys, "get_int_max_str_digits", None)

@@ -10,7 +10,6 @@ All values are plain Python ints (arbitrary precision).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -64,8 +63,8 @@ class Semigroup:
     def apery_set(self, x: int | None = None) -> AperyTable:
         """Apery table of S with respect to x (default: smallest generator).
 
-        Computed as single-source shortest paths on the residue graph:
-        nodes 0..x-1, one edge r -> (r+g) mod x of weight g per generator.
+        Built by the round-robin algorithm (see ``_apery_w``): one lap
+        round the residues mod x per generator.
         """
         if x is None:
             x = self.gens[0]
@@ -141,27 +140,43 @@ def make_semigroup(gens) -> Semigroup:
 # one table: every caller is done with a table before it asks for another
 @lru_cache(maxsize=1)
 def _apery_w(gens: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """Shortest-path distances on the residue graph mod x.
+    """Least element of <gens + {x}> in each residue class mod x.
 
-    dist[r] is the least element of <gens + {x}> congruent to r mod x; when
-    x itself belongs to the semigroup this is the Apery table of the
-    semigroup generated by ``gens``.
+    When x itself belongs to the semigroup generated by ``gens`` this is its
+    Apery table.  Built by the round-robin algorithm of Boecker and Liptak,
+    *A fast and simple algorithm for the money changing problem*,
+    Algorithmica 48 (2007): w starts as the table of <x> and takes in one
+    generator b at a time, in ascending order.  Adding b joins the residues
+    into gcd(b, x) cycles r -> r + b (mod x); one lap round each cycle from
+    its least entry, carrying n = min(n + b, w[r]), gives the table of the
+    larger semigroup.
     """
-    inf = float("inf")
-    dist = [inf] * x
-    dist[0] = 0
-    heap = [(0, 0)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, r = pop(heap)
-        if d > dist[r]:
+    # every entry is a sum of at most x - 1 generators, so none reaches this
+    inf = x * max(gens)
+    w = [inf] * x
+    w[0] = 0
+    for b in sorted(gens):
+        bm = b % x
+        # b = 0 (mod x), or b already in the semigroup: nothing to relax
+        if bm == 0 or w[bm] <= b:
             continue
-        for g in gens:
-            r2 = (r + g) % x
-            nd = d + g
-            if nd < dist[r2]:
-                dist[r2] = nd
-                push(heap, (nd, r2))
+        d = gcd(bm, x)
+        step = bm - x
+        for p in range(d):
+            cycle = w[p::d]
+            n = min(cycle)
+            if n == inf:
+                continue
+            r = p + cycle.index(n) * d
+            for _ in range(len(cycle) - 1):
+                r += step
+                if r < 0:
+                    r += x
+                n += b
+                if n < w[r]:
+                    w[r] = n
+                else:
+                    n = w[r]
     # gcd(gens) = 1 makes every residue reachable
-    assert all(d != inf for d in dist)
-    return tuple(dist)
+    assert inf not in w
+    return tuple(w)

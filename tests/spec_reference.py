@@ -10,10 +10,15 @@ maximal Apery element is written out as its full coefficient sequence
 and summed term by term, where ``gtsg.thabit`` uses geometric sums; the
 k = 2 Frobenius formula and the k < n shortcut are kept here as the
 paper states them.
+
+The generic oracle's Apery table is kept here as Dijkstra's shortest
+paths on the residue graph (Nijenhuis, Amer. Math. Monthly 1979), the
+algorithm ``gtsg.oracle`` used before its round robin.
 """
 
 from __future__ import annotations
 
+import heapq
 from itertools import product
 from typing import Iterator
 
@@ -180,3 +185,30 @@ def genus_from_apery(s0: int, values) -> int:
     if r != 0:
         raise AssertionError("genus division inexact")
     return q
+
+
+def apery_w_dijkstra(gens, x: int) -> tuple[int, ...]:
+    """Shortest-path distances on the residue graph mod x.
+
+    dist[r] is the least element of <gens + {x}> congruent to r mod x; when
+    x itself belongs to the semigroup this is the Apery table of the
+    semigroup generated by ``gens``.
+    """
+    inf = float("inf")
+    dist = [inf] * x
+    dist[0] = 0
+    heap = [(0, 0)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, r = pop(heap)
+        if d > dist[r]:
+            continue
+        for g in gens:
+            r2 = (r + g) % x
+            nd = d + g
+            if nd < dist[r2]:
+                dist[r2] = nd
+                push(heap, (nd, r2))
+    # gcd(gens) = 1 makes every residue reachable
+    assert all(d != inf for d in dist)
+    return tuple(dist)

@@ -217,6 +217,12 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err == "gtsg: error: --x applies only to apery and membership\n"
 
+    @pytest.mark.parametrize("spelling", [("--gens", "-3,5"), ("--gens=-3,5",)])
+    def test_negative_generator_exits_2(self, capsys, spelling):
+        # argparse would read "-3,5" after --gens as an option
+        code, out, err = run(capsys, "oracle", "frobenius", *spelling)
+        assert (code, out, err) == (2, "", "gtsg: error: generators must be >= 1\n")
+
 
 class TestOracleCap:
     def test_apery_modulus_over_cap_exits_2(self, capsys, monkeypatch):

@@ -1,15 +1,18 @@
 """Tests for the generic numerical-semigroup oracle.
 
 Expected values marked as derived were computed with the brute-force
-representability sieve below, which never touches the shortest-path code
-it is checking.
+representability sieve below, which never touches the round-robin table
+code it is checking.  The Apery tables are also checked against Dijkstra's
+shortest paths, ``spec_reference.apery_w_dijkstra``.
 """
 
 import importlib.util
+from functools import reduce
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtsg
@@ -23,6 +26,7 @@ from gtsg.oracle import (
     make_semigroup,
 )
 from gtsg.verify import verify_grid
+from spec_reference import apery_w_dijkstra
 
 
 def representable_flags(gens, limit):
@@ -254,3 +258,43 @@ def test_minimal_generators_fixed_point(gens):
     M = S.minimal_generators()
     assert M.minimal_generators().gens == M.gens
     assert set(M.gens) <= set(S.gens)
+
+
+@st.composite
+def apery_cases(draw):
+    """A generator list with gcd 1 and a modulus x in its semigroup: the
+    smallest generator, 1, or a sum of two generators that is not one, as
+    ``oracle apery --x`` takes.  The list may also hold a multiple of x, a
+    generator shifted by a multiple of x (so two share a residue) and a sum
+    of two generators (redundant); none of them changes the semigroup."""
+    gens = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
+    assume(reduce(gcd, gens) == 1)
+    sums = [a + b for a in gens for b in gens if a + b not in gens]
+    x = draw(st.sampled_from([min(gens), 1, *sums]))
+    g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+    c = draw(st.integers(1, 3))
+    extras = {"zero": c * x, "same": g + c * x, "redundant": g + h}
+    kinds = draw(st.sets(st.sampled_from(sorted(extras))))
+    gens += [extras[kind] for kind in sorted(kinds)]
+    return tuple(sorted(set(gens))), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(apery_cases())
+def test_round_robin_matches_dijkstra_and_sieve(case):
+    gens, x = case
+    table = oracle._apery_w(gens, x)
+    assert table == apery_w_dijkstra(gens, x)
+    assert list(table) == brute_apery(gens, x, max(table))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300),
+       st.lists(st.integers(2**62, 2**64), min_size=1, max_size=4),
+       st.integers(0, 2))
+def test_round_robin_matches_dijkstra_on_wide_lists(m, wide, times):
+    # max(gens) >= 2^62 is too wide for the sieve; x is 1, m or 2m
+    gens = tuple(sorted({m, *wide}))
+    assume(reduce(gcd, gens) == 1)
+    x = m * times or 1
+    assert oracle._apery_w(gens, x) == apery_w_dijkstra(gens, x)
