@@ -17,11 +17,11 @@ from .thabit import (
     apery_set_closed,
     case_of,
     coeff_solve,
-    coeff_value,
     delta,
     embedding_dimension,
     frobenius_closed,
     generator_at,
+    generator_decimals,
     genus_closed,
     max_apery,
     minimal_generating_set,
@@ -43,11 +43,11 @@ __all__ = [
     "apery_set_closed",
     "case_of",
     "coeff_solve",
-    "coeff_value",
     "delta",
     "embedding_dimension",
     "frobenius_closed",
     "generator_at",
+    "generator_decimals",
     "genus_closed",
     "grid_points",
     "make_semigroup",

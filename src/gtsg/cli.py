@@ -91,7 +91,9 @@ def _record_rows(data: dict) -> list:
 
 def cmd_info(args) -> int:
     n, k = args.n, args.k
-    gens = list(thabit.minimal_generating_set(n, k).gens)
+    s0 = thabit.generator_at(n, k, 0)
+    # already decimal strings: every format prints them as they are
+    gens = thabit.generator_decimals(n, k)
     max_apery = thabit.max_apery(n, k)
     data = {
         "n": n,
@@ -101,12 +103,12 @@ def cmd_info(args) -> int:
         "e": thabit.embedding_dimension(n, k),
         "case": thabit.case_of(n, k).name,
         "max_apery": max_apery,
-        "frobenius": max_apery - gens[0],
+        "frobenius": max_apery - s0,
         "genus": None,
     }
     # the genus sums the Apery set run by run, whose runs cost O(m^2) to
     # find, so it keeps the size cap
-    if gens[0] <= _apery_cap() or args.force:
+    if s0 <= _apery_cap() or args.force:
         data["genus"] = thabit.genus_closed(n, k)
 
     def text():

@@ -99,10 +99,6 @@ class Semigroup:
         assert r == 0, "genus formula did not divide exactly"
         return q
 
-    def gaps(self) -> list[int]:
-        """All nonnegative integers not in S, ascending."""
-        return [x for x in range(self.frobenius() + 1) if not self.is_member(x)]
-
     def minimal_generators(self) -> "Semigroup":
         """The unique minimal system of generators.
 
@@ -163,12 +159,16 @@ def _apery_w(gens: tuple[int, ...], x: int) -> tuple[int, ...]:
         d = gcd(bm, x)
         step = bm - x
         for p in range(d):
-            cycle = w[p::d]
-            n = min(cycle)
-            if n == inf:
-                continue
-            r = p + cycle.index(n) * d
-            for _ in range(len(cycle) - 1):
+            if p:
+                cycle = w[p::d]
+                n = min(cycle)
+                if n == inf:
+                    continue
+                r = p + cycle.index(n) * d
+            else:
+                # w[0] = 0 is the least entry of the cycle through 0
+                n = r = 0
+            for _ in range(x // d - 1):
                 r += step
                 if r < 0:
                     r += x

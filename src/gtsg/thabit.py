@@ -12,6 +12,11 @@ coefficient prefix they need is a greedy skew-binary conversion, and the
 generator sums are geometric.  The genus applies Selmer's formula to the
 Apery sum, taken run by run in closed form without listing the values.
 
+:func:`generator_decimals` writes the generators in base 10 for output.
+It steps s_(i+1) = 2*s_i + B in exact Decimal arithmetic, whose
+arithmetic and ``str`` are linear in the digits, so printing all m + 1
+generators never goes through CPython's quadratic int-to-str conversion.
+
 Coefficient sequences (t_1, ..., t_m) over {0,1,2} encode the element
 Q = t_1*s_1 + ... + t_m*s_m and the scalar P = sum t_i*(2^i - 1).  A
 sequence is "valid" when t_m <= 1 and a 2 at position j forces zeros at all
@@ -84,6 +89,32 @@ def minimal_generating_set(n: int, k: int) -> Semigroup:
     return make_semigroup(gens)
 
 
+def generator_decimals(n: int, k: int) -> list[str]:
+    """s_0, ..., s_(n+delta) written in base 10.
+
+    The same numbers as :func:`minimal_generating_set`, taken in Decimal
+    under a context that neither rounds nor overflows (any rounding traps),
+    so the recurrence s_(i+1) = 2*s_i + B and each ``str`` cost time linear
+    in the digits, where ``str`` of an int is quadratic in CPython.
+    """
+    # imported here, not at the top: importing decimal costs milliseconds,
+    # and every process that imports gtsg would pay them
+    import decimal
+
+    m = n + delta(n, k)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    with decimal.localcontext(ctx):
+        two = decimal.Decimal(2)
+        b = two**k - 1
+        s = (b + 2) * two**n - b                # s_0 = (2^k + 1)*2^n - B
+        out = [str(s)]
+        for _ in range(m):
+            s = 2 * s + b
+            out.append(str(s))
+    return out
+
+
 def case_of(n: int, k: int) -> Case:
     _check_params(n, k)
     if n == 0:
@@ -99,15 +130,6 @@ def case_of(n: int, k: int) -> Case:
     return Case.KGT_N
 
 
-def coeff_value(n: int, k: int, t) -> int:
-    """Q = t_1*s_1 + ... + t_m*s_m for a full-length coefficient sequence."""
-    t = tuple(t)
-    m = n + delta(n, k)
-    if len(t) != m:
-        raise ValueError(f"expected {m} coefficients, got {len(t)}")
-    return sum(ti * generator_at(n, k, i) for i, ti in enumerate(t, start=1))
-
-
 def coeff_solve(target: int, length: int) -> tuple[int, ...] | None:
     """The unique valid prefix (t_1..t_length) with P = target.
 
@@ -118,20 +140,26 @@ def coeff_solve(target: int, length: int) -> tuple[int, ...] | None:
     suite also checks this exhaustively for lengths 1..12.  A 2 is allowed
     at any position here because prefixes are completed by later
     coefficients.  Returns None when target lies outside that range.
+
+    The greedy starts at the bit length of the target and, after each
+    digit it takes, jumps to the bit length of the remainder, so it makes
+    at most two steps per nonzero digit, however long the prefix.
     """
     t = [0] * length
     x = target
-    w = (1 << length) - 1                       # weight of position length
-    for i in range(length - 1, -1, -1):
+    # position i weighs 2^i - 1, so no position above x's bit length fits
+    i = min(length, x.bit_length())
+    while x > 0 and i > 0:
+        w = (1 << i) - 1
         if x == 2 * w:
             # a 2 forces zeros below it
-            t[i] = 2
-            x = 0
-            break
+            t[i - 1] = 2
+            return tuple(t)
         if x >= w:
-            t[i] = 1
+            t[i - 1] = 1
             x -= w
-        w >>= 1
+            i = min(i, x.bit_length() + 1)
+        i -= 1
     return tuple(t) if x == 0 else None
 
 

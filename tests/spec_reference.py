@@ -14,6 +14,12 @@ paper states them.
 The generic oracle's Apery table is kept here as Dijkstra's shortest
 paths on the residue graph (Nijenhuis, Amer. Math. Monthly 1979), the
 algorithm ``gtsg.oracle`` used before its round robin.
+
+Also kept here: the Q-value of a coefficient sequence, summed generator
+by generator; the skew-binary greedy that visits every position from the
+top, which ``gtsg.thabit.coeff_solve`` shortcuts by bit lengths; and the
+gaps of a semigroup, listed by membership tests up to its Frobenius
+number.
 """
 
 from __future__ import annotations
@@ -22,7 +28,40 @@ import heapq
 from itertools import product
 from typing import Iterator
 
-from gtsg.thabit import Case, case_of, coeff_solve, coeff_value, delta
+from gtsg.thabit import Case, case_of, coeff_solve, delta, generator_at
+
+
+def coeff_value(n: int, k: int, t) -> int:
+    """Q = t_1*s_1 + ... + t_m*s_m for a full-length coefficient sequence."""
+    t = tuple(t)
+    m = n + delta(n, k)
+    if len(t) != m:
+        raise ValueError(f"expected {m} coefficients, got {len(t)}")
+    return sum(ti * generator_at(n, k, i) for i, ti in enumerate(t, start=1))
+
+
+def coeff_solve_scan(target: int, length: int) -> tuple[int, ...] | None:
+    """``coeff_solve`` as a greedy that visits every position from the top,
+    shifting a ``length``-bit weight down one bit at each."""
+    t = [0] * length
+    x = target
+    w = (1 << length) - 1                       # weight of position length
+    for i in range(length - 1, -1, -1):
+        if x == 2 * w:
+            # a 2 forces zeros below it
+            t[i] = 2
+            x = 0
+            break
+        if x >= w:
+            t[i] = 1
+            x -= w
+        w >>= 1
+    return tuple(t) if x == 0 else None
+
+
+def gaps(S) -> list[int]:
+    """All nonnegative integers not in the semigroup S, ascending."""
+    return [x for x in range(S.frobenius() + 1) if not S.is_member(x)]
 
 
 def _scalar(prefix) -> int:

@@ -18,12 +18,11 @@ from gtsg.thabit import (
     apery_coeffs,
     apery_set_closed,
     case_of,
-    coeff_value,
     delta,
     generator_at,
 )
 
-from spec_reference import sorted_apery_rows
+from spec_reference import coeff_value, sorted_apery_rows
 
 POINTS = {
     Case.N0: (0, 3),

@@ -102,7 +102,7 @@ class TestApery:
         for residue, value, coeffs in rows[1:]:
             assert int(value) % 29 == int(residue)
             t = tuple(int(c) for c in coeffs.split())
-            assert thabit.coeff_value(2, 3, t) == int(value)
+            assert spec_reference.coeff_value(2, 3, t) == int(value)
 
     def test_too_large_without_force(self, capsys, monkeypatch):
         monkeypatch.setenv("GTSG_S0_CAP", "100")
@@ -172,6 +172,19 @@ class TestHugeIntegers:
             value = int(json.loads(out)["frobenius"])
             assert len(str(value)) > 4300
         assert value == s(1) + s(2 * n) - s(0)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_info_generators_match_int_rendering(self, capsys, monkeypatch, fmt):
+        # s_1 = 2^15000 + 3 has 4516 digits; the int rendering is str() of
+        # minimal_generating_set, run with the digit limit lifted
+        argv = ("info", "--n", "0", "--k", "15000", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(thabit, "generator_decimals", lambda n, k: [
+            str(g) for g in thabit.minimal_generating_set(n, k).gens])
+        with whole_ints():
+            assert len(str(thabit.generator_at(0, 15000, 1))) > 4300
+            assert run(capsys, *argv) == (0, out, "")
 
 
 class TestOracle:

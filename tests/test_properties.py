@@ -18,14 +18,13 @@ from gtsg.thabit import (
     apery_set_closed,
     case_of,
     coeff_solve,
-    coeff_value,
     delta,
     generator_at,
     max_apery,
     minimal_generating_set,
 )
 
-from spec_reference import iter_valid_sequences
+from spec_reference import coeff_value, iter_valid_sequences
 
 GRID = verify.grid_points()
 SMALL_GRID = verify.grid_points(s0_max=10**4)

@@ -1,8 +1,11 @@
 """Tests for the GT(n,k) closed forms, pinned to known reference values."""
 
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spec_reference
 from gtsg import verify
@@ -12,16 +15,21 @@ from gtsg.thabit import (
     apery_set_closed,
     case_of,
     coeff_solve,
-    coeff_value,
     delta,
     embedding_dimension,
     frobenius_closed,
     generator_at,
+    generator_decimals,
     genus_closed,
     max_apery,
     minimal_generating_set,
 )
-from spec_reference import frobenius_k2_closed, genus_from_apery, max_apery_fast_kltn
+from spec_reference import (
+    coeff_value,
+    frobenius_k2_closed,
+    genus_from_apery,
+    max_apery_fast_kltn,
+)
 
 
 class TestGenerators:
@@ -45,6 +53,25 @@ class TestGenerators:
             generator_at(1, 0, 0)
         with pytest.raises(ValueError):
             generator_at(-1, 2, 0)
+        with pytest.raises(ValueError):
+            generator_decimals(1, 0)
+        with pytest.raises(ValueError):
+            generator_decimals(-1, 2)
+
+
+# one point of every case: (1, 2), n = 0, k = 1, k < n, k = n, k > n
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 300))
+@example(1, 2)
+@example(0, 1)
+@example(0, 300)
+@example(5, 1)
+@example(9, 4)
+@example(6, 6)
+@example(300, 300)
+@example(3, 11)
+def test_generator_decimals_are_the_minimal_generators(n, k):
+    assert generator_decimals(n, k) == [str(g) for g in minimal_generating_set(n, k).gens]
 
 
 class TestDeltaAndDimension:
@@ -104,6 +131,15 @@ class TestCoeffSolve:
     def test_range_limits(self):
         assert coeff_solve(2 * (2**4 - 1), 4) == (0, 0, 0, 2)
 
+    def test_equals_the_full_scan(self):
+        # every target of each length, and a few past either end
+        for length in range(14):
+            top = 2 * (2**length - 1)
+            outside = [-(2**length), -2, -1, top + 1, top + 2, 2 * top + 3, 4**length + 5]
+            for target in [*range(top + 1), *outside]:
+                assert coeff_solve(target, length) == \
+                    spec_reference.coeff_solve_scan(target, length), (target, length)
+
     @pytest.mark.parametrize("length", [10_000, 12_345])
     def test_round_trip_long(self, length):
         # the greedy solver neither recurses nor enumerates, so lengths far
@@ -144,6 +180,14 @@ class TestMaxApery:
     ])
     def test_term_by_term_large(self, n, k):
         assert max_apery(n, k) == spec_reference.max_apery_term_by_term(n, k)
+
+    @pytest.mark.parametrize("n,k", [(1, 300_000), (300_000, 299_999)])
+    def test_runtime_budget_at_large_n_or_k(self, n, k):
+        start = time.perf_counter()
+        value = max_apery(n, k)
+        assert time.perf_counter() - start < 1.0, "runtime budget 1 s"
+        s0 = generator_at(n, k, 0)
+        assert value % s0 == (s0 - (2**k - 1)) % s0     # the residue law
 
     def test_fast_path(self):
         assert max_apery_fast_kltn(5, 3) == 81764
