@@ -30,8 +30,8 @@ DEFAULT_APERY_CAP = 1_000_000
 
 
 class TooLarge(Exception):
-    """Enumeration refused because s_0 or a table modulus exceeds the cap
-    and --force is absent."""
+    """Enumeration refused because s_0, a table modulus or verify's largest
+    s_0 exceeds the cap and nothing lifts it."""
 
 
 def _apery_cap() -> int:
@@ -106,8 +106,9 @@ def cmd_info(args) -> int:
         "frobenius": max_apery - s0,
         "genus": None,
     }
-    # the genus sums the Apery set run by run, whose runs cost O(m^2) to
-    # find, so it keeps the size cap
+    # the genus costs O(m) big-integer operations; it keeps the s0 cap only
+    # so that info prints what it printed until the benchmark checks a genus
+    # above the cap
     if s0 <= _apery_cap() or args.force:
         data["genus"] = thabit.genus_closed(n, k)
 
@@ -128,13 +129,12 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _check_cap(what: str, size: int, force: bool) -> None:
-    """Raise TooLarge when ``size`` exceeds the cap and ``force`` is off."""
+def _check_cap(what: str, size: int, force: bool,
+               lever: str = "pass --force to enumerate anyway") -> None:
+    """Raise TooLarge when ``size`` exceeds the cap and ``force`` is off;
+    the message ends in ``lever``, the way to lift the cap."""
     if size > _apery_cap() and not force:
-        raise TooLarge(
-            f"{what} = {size} exceeds the enumeration cap {_apery_cap()}; "
-            "pass --force to enumerate anyway"
-        )
+        raise TooLarge(f"{what} = {size} exceeds the enumeration cap {_apery_cap()}; {lever}")
 
 
 def cmd_apery(args) -> int:
@@ -217,6 +217,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # verify has no --force: its whole sweep is sized by --s0-max
+    _check_cap("s0-max", args.s0_max, False, "raise GTSG_S0_CAP to sweep anyway")
     report = verify.verify_grid(
         n_max=args.n_max, k_max=args.k_max, s0_max=args.s0_max, jobs=args.jobs
     )
@@ -325,11 +327,9 @@ def _glue_gens(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(_glue_gens(sys.argv[1:] if argv is None else argv))
     # closed forms reach thousands of digits; print them whole (Python
-    # 3.10.7+ refuses int <-> str beyond 4300 digits by default)
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    max_digits = limit() if limit else None
-    if limit:
-        sys.set_int_max_str_digits(0)
+    # refuses int <-> str beyond 4300 digits by default)
+    max_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (SemigroupError, TooLarge, ValueError) as exc:
@@ -341,8 +341,7 @@ def main(argv=None) -> int:
         print(f"gtsg: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     finally:
-        if limit:
-            sys.set_int_max_str_digits(max_digits)
+        sys.set_int_max_str_digits(max_digits)
 
 
 def entry() -> None:

@@ -56,10 +56,6 @@ class Semigroup:
 
     gens: tuple[int, ...]
 
-    @property
-    def multiplicity(self) -> int:
-        return self.gens[0]
-
     def apery_set(self, x: int | None = None) -> AperyTable:
         """Apery table of S with respect to x (default: smallest generator).
 

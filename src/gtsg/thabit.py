@@ -11,6 +11,8 @@ take O(m) big-integer operations, m = n + delta, and never recurse: the
 coefficient prefix they need is a greedy skew-binary conversion, and the
 generator sums are geometric.  The genus applies Selmer's formula to the
 Apery sum, taken run by run in closed form without listing the values.
+Each case's Apery rule is three numbers of one run rule, so the m runs,
+and the genus with them, cost O(m) big-integer operations.
 
 :func:`generator_decimals` writes the generators in base 10 for output.
 It steps s_(i+1) = 2*s_i + B in exact Decimal arithmetic, whose
@@ -216,16 +218,17 @@ def _fit_count(bound: int, first: int, last: int) -> int:
     """How many masks over positions first..last keep sum(2^i - 1) <= bound.
 
     The weights 2^i - 1 are superincreasing, so the sum grows with the mask
-    and the masks that fit are 0 .. x, with x found greedily from the top.
+    and the masks that fit are 0 .. x.  A mask x weighs
+    (x << first) - popcount(x), so x << first <= bound + width, and from
+    there at most ceil(width / 2^first) steps down reach the largest x
+    that fits.
     """
     if bound < 0:
         return 0
-    x = 0
-    for i in range(last, first - 1, -1):
-        w = 2**i - 1
-        if w <= bound:
-            bound -= w
-            x |= 1 << (i - first)
+    width = max(last - first + 1, 0)
+    x = min((1 << width) - 1, (bound + width) >> first)
+    while (x << first) - x.bit_count() > bound:
+        x -= 1
     return x + 1
 
 
@@ -237,48 +240,41 @@ def _apery_runs(n: int, k: int) -> list[tuple[int, int]]:
     zeros below it, so its mask is tail << j.  The rules of every case only
     cut off the largest tails, so the kept sequences with the 2 at j are
     exactly the tails 0 .. count-1.
+
+    Every case but (1, 2) is one rule in three numbers: the first ``head``
+    masks lie below the case's pinned top pattern and are all kept, and
+    past them come the masks with that pattern, kept while the scalar of
+    t_1 .. t_last stays within ``bound``.  With the 2 at j the tails are
+    the masks shifted down by j, so j + 1 .. last stay free, and the 2
+    itself takes 2*(2^j - 1) of the bound.
     """
     case = case_of(n, k)
-    if case is Case.N0:
-        return [(0, 2)]
     if case is Case.EXCEPTION_1_2:
         # 74 = 2*s_2 breaks the t_m <= 1 rule; the set is literal here
         return [(0, 4), (1, 2), (2, 1)]
     m = n + delta(n, k)
-    top = 1 << (m - 1)                          # bit of t_m
-    if case is Case.K1:
+    if case is Case.N0:
+        # t_1 in {0, 1}
+        head, last, bound = 1, 0, 0
+    elif case is Case.K1:
         # t_n = t_(n+1) = 1 pins every other entry to 0, and t_n = 2 forces
         # t_(n+1) = 0
-        return ([(0, (3 << (n - 1)) + 1)]
-                + [(j, 3 << (n - 1 - j)) for j in range(1, n)] + [(n, 1)])
-    if case is Case.KEQ_N:
+        head, last, bound = 3 << (n - 1), n - 1, 0
+    elif case is Case.KEQ_N:
         # t_(2n) = 1 leaves only t_1 in {0, 1} free
-        return [(0, top + 2)] + [(j, top >> j) for j in range(1, m)]
-    if case is Case.KLT_N:
+        head, last, bound = 1 << (m - 1), 1, 1
+    elif case is Case.KLT_N:
         # t_m = 1 forces t_n .. t_(n+k-1) = 0 and t_(n-1) <= 1, and
         # t_(n-1) = 1 then bounds the scalar of t_1 .. t_(n-2)
-        bound = 2 ** (n - 1) - 2**k + 2
-        runs = [(0, top + (1 << (n - 2)) + _fit_count(bound, 1, n - 2))]
-        for j in range(1, m):
-            count = top >> j
-            if j <= n - 2:
-                extra = 2 * (2**j - 1)
-                count += (1 << (n - 2 - j)) + _fit_count(bound - extra, j + 1, n - 2)
-            runs.append((j, count))
-        return runs
-    # KGT_N: with all of the top n positions t_k .. t_(n+k-1) equal to 1 the
-    # scalar of t_1 .. t_(k-1) is bounded; a 2 in that block must not be
-    # followed by all ones
-    bound = 2**n + n
-    block = ((1 << n) - 1) << (k - 1)
-    runs = [(0, block + _fit_count(bound, 1, k - 1))]
-    for j in range(1, m):
-        if j < k:
-            extra = 2 * (2**j - 1)
-            runs.append((j, (block >> j) + _fit_count(bound - extra, j + 1, k - 1)))
-        else:
-            runs.append((j, (1 << (m - j)) - 1))
-    return runs
+        head, last = (1 << (m - 1)) + (1 << (n - 2)), n - 2
+        bound = (1 << (n - 1)) - (1 << k) + 2
+    else:
+        # KGT_N: with all of the top n positions t_k .. t_(n+k-1) equal to 1
+        # the scalar of t_1 .. t_(k-1) is bounded; a 2 in that block must not
+        # be followed by all ones
+        head, last, bound = ((1 << n) - 1) << (k - 1), k - 1, (1 << n) + n
+    return [(j, (head >> j) + _fit_count(bound - 2 * ((1 << j) - 1), j + 1, last))
+            for j in range(m)]
 
 
 def _apery_entries(n: int, k: int) -> tuple[int, list[tuple[list[int], range]]]:
@@ -359,17 +355,17 @@ def apery_coeffs(n: int, k: int) -> list[tuple[int, ...]]:
 def _popcount_sum(count: int) -> int:
     """sum of popcount(x) over 0 <= x < count.
 
-    Split [0, count) at each set bit b of count: the x that match count
-    above b and have a 0 at b are 2^b numbers, each with the ``ones`` set
-    bits of count above b and b free bits below, so their popcounts sum to
-    ones*2^b + b*2^(b-1).
+    Split count = hi*2^h + lo at half its bit length: the x below hi*2^h
+    are q*2^h + r for q < hi and r < 2^h, whose popcounts sum to
+    2^h*S(hi) + hi*h*2^(h-1), and the x from hi*2^h on add
+    lo*popcount(hi) + S(lo).
     """
-    total = ones = 0
-    for b in range(count.bit_length() - 1, -1, -1):
-        if count >> b & 1:
-            total += (ones << b) + (b << b >> 1)
-            ones += 1
-    return total
+    if count < 64:
+        return sum(x.bit_count() for x in range(count))
+    h = count.bit_length() >> 1
+    hi, lo = count >> h, count & ((1 << h) - 1)
+    return ((_popcount_sum(hi) << h) + (hi * h << h >> 1)
+            + lo * hi.bit_count() + _popcount_sum(lo))
 
 
 def genus_closed(n: int, k: int) -> int:
@@ -378,7 +374,8 @@ def genus_closed(n: int, k: int) -> int:
 
     The mask tail << j is worth 2A*2^j*tail - B*popcount(tail), so a run
     (j, count) sums to A*2^j*count*(count-1) - B*(popcount sum below count)
-    plus count*2*s_j when j >= 1.  The cost is that of :func:`_apery_runs`.
+    plus count*2*s_j when j >= 1.  Each of the m runs costs a few
+    big-integer operations on m-bit numbers.
     """
     a, b = _affine(n, k)
     total = 0

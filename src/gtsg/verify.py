@@ -112,10 +112,6 @@ def verify_point(n: int, k: int) -> PointReport:
     return PointReport(n, k, s0, tuple(m for m in found if m is not None))
 
 
-def _verify_point_star(nk: tuple[int, int]) -> PointReport:
-    return verify_point(*nk)
-
-
 def verify_grid(n_max: int | None = None, k_max: int | None = None,
                 s0_max: int = DEFAULT_S0_MAX, jobs: int = 1) -> VerifyReport:
     """Run :func:`verify_point` over the whole grid.
@@ -130,8 +126,9 @@ def verify_grid(n_max: int | None = None, k_max: int | None = None,
     if not points:
         raise ValueError("the grid has no points; raise --s0-max or the n/k limits")
     if jobs > 1 and len(points) > 1:
+        ns, ks = zip(*points)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_point_star, points, chunksize=4))
+            reports = list(pool.map(verify_point, ns, ks, chunksize=4))
     else:
         reports = [verify_point(n, k) for n, k in points]
     return VerifyReport(reports)

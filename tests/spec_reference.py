@@ -20,6 +20,10 @@ by generator; the skew-binary greedy that visits every position from the
 top, which ``gtsg.thabit.coeff_solve`` shortcuts by bit lengths; and the
 gaps of a semigroup, listed by membership tests up to its Frobenius
 number.
+
+The Apery runs are kept as one loop per case, the form ``gtsg.thabit``
+had before its one run rule, with the greedy fit count that visits every
+position and the popcount sum taken bit by bit.
 """
 
 from __future__ import annotations
@@ -251,3 +255,88 @@ def apery_w_dijkstra(gens, x: int) -> tuple[int, ...]:
     # gcd(gens) = 1 makes every residue reachable
     assert all(d != inf for d in dist)
     return tuple(dist)
+
+
+def fit_count_scan(bound: int, first: int, last: int) -> int:
+    """How many masks over positions first..last keep sum(2^i - 1) <= bound.
+
+    The weights 2^i - 1 are superincreasing, so the sum grows with the mask
+    and the masks that fit are 0 .. x, with x found greedily from the top.
+    """
+    if bound < 0:
+        return 0
+    x = 0
+    for i in range(last, first - 1, -1):
+        w = 2**i - 1
+        if w <= bound:
+            bound -= w
+            x |= 1 << (i - first)
+    return x + 1
+
+
+def apery_runs_per_case(n: int, k: int) -> list[tuple[int, int]]:
+    """The Apery coefficient set of GT(n,k) as runs (j, count).
+
+    A sequence is a mask of its 1-coefficients (bit i-1 for t_i) and the
+    position j of its single 2, or j = 0 when it has none; a 2 at j forces
+    zeros below it, so its mask is tail << j.  The rules of every case only
+    cut off the largest tails, so the kept sequences with the 2 at j are
+    exactly the tails 0 .. count-1.
+    """
+    case = case_of(n, k)
+    if case is Case.N0:
+        return [(0, 2)]
+    if case is Case.EXCEPTION_1_2:
+        # 74 = 2*s_2 breaks the t_m <= 1 rule; the set is literal here
+        return [(0, 4), (1, 2), (2, 1)]
+    m = n + delta(n, k)
+    top = 1 << (m - 1)                          # bit of t_m
+    if case is Case.K1:
+        # t_n = t_(n+1) = 1 pins every other entry to 0, and t_n = 2 forces
+        # t_(n+1) = 0
+        return ([(0, (3 << (n - 1)) + 1)]
+                + [(j, 3 << (n - 1 - j)) for j in range(1, n)] + [(n, 1)])
+    if case is Case.KEQ_N:
+        # t_(2n) = 1 leaves only t_1 in {0, 1} free
+        return [(0, top + 2)] + [(j, top >> j) for j in range(1, m)]
+    if case is Case.KLT_N:
+        # t_m = 1 forces t_n .. t_(n+k-1) = 0 and t_(n-1) <= 1, and
+        # t_(n-1) = 1 then bounds the scalar of t_1 .. t_(n-2)
+        bound = 2 ** (n - 1) - 2**k + 2
+        runs = [(0, top + (1 << (n - 2)) + fit_count_scan(bound, 1, n - 2))]
+        for j in range(1, m):
+            count = top >> j
+            if j <= n - 2:
+                extra = 2 * (2**j - 1)
+                count += (1 << (n - 2 - j)) + fit_count_scan(bound - extra, j + 1, n - 2)
+            runs.append((j, count))
+        return runs
+    # KGT_N: with all of the top n positions t_k .. t_(n+k-1) equal to 1 the
+    # scalar of t_1 .. t_(k-1) is bounded; a 2 in that block must not be
+    # followed by all ones
+    bound = 2**n + n
+    block = ((1 << n) - 1) << (k - 1)
+    runs = [(0, block + fit_count_scan(bound, 1, k - 1))]
+    for j in range(1, m):
+        if j < k:
+            extra = 2 * (2**j - 1)
+            runs.append((j, (block >> j) + fit_count_scan(bound - extra, j + 1, k - 1)))
+        else:
+            runs.append((j, (1 << (m - j)) - 1))
+    return runs
+
+
+def popcount_sum_by_bits(count: int) -> int:
+    """sum of popcount(x) over 0 <= x < count.
+
+    Split [0, count) at each set bit b of count: the x that match count
+    above b and have a 0 at b are 2^b numbers, each with the ``ones`` set
+    bits of count above b and b free bits below, so their popcounts sum to
+    ones*2^b + b*2^(b-1).
+    """
+    total = ones = 0
+    for b in range(count.bit_length() - 1, -1, -1):
+        if count >> b & 1:
+            total += (ones << b) + (b << b >> 1)
+            ones += 1
+    return total

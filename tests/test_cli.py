@@ -392,6 +392,22 @@ class TestVerifyUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and "no points" in err
 
+    def test_s0_max_past_the_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        def boom(**kwargs):
+            raise AssertionError("verify_grid called past the cap")
+        monkeypatch.setattr(verify, "verify_grid", boom)
+        monkeypatch.setenv("GTSG_S0_CAP", "100")
+        code, out, err = run(capsys, "verify", "--s0-max", "1000")
+        assert (code, out) == (2, "")
+        assert err == ("gtsg: error: s0-max = 1000 exceeds the enumeration cap 100; "
+                       "raise GTSG_S0_CAP to sweep anyway\n")
+
+    def test_s0_max_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("GTSG_S0_CAP", "1000")
+        code, out, err = run(capsys, "verify", "--s0-max", "1000")
+        assert (code, err) == (0, "")
+        assert out.endswith(" points, 0 mismatched\n")
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):
         code, out, err = run(capsys, "verify", "--s0-max", "300", "--jobs", jobs)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spec_reference
-from gtsg import verify
+from gtsg import thabit, verify
 from gtsg.thabit import (
     Case,
     apery_coeffs,
@@ -322,3 +322,108 @@ class TestGenusClosed:
         S = minimal_generating_set(1, 1)
         assert S.gens == (5, 11, 23)
         assert genus_closed(1, 1) == S.genus()
+
+
+class TestAperyRuns:
+    """The one run rule against the per-case loops it replaced."""
+
+    def test_equal_to_the_per_case_loops(self):
+        for n in range(0, 61):
+            for k in range(1, 61):
+                assert thabit._apery_runs(n, k) == spec_reference.apery_runs_per_case(n, k), (n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 300))
+    @example(300, 1)
+    @example(300, 299)
+    @example(300, 300)
+    @example(299, 300)
+    @example(0, 300)
+    def test_equal_to_the_per_case_loops_up_to_300(self, n, k):
+        assert thabit._apery_runs(n, k) == spec_reference.apery_runs_per_case(n, k)
+
+    def test_fit_count_every_bound_of_small_widths(self):
+        # first > last (width 0) included; bounds past either end included
+        for first in range(1, 6):
+            for width in range(9):
+                last = first + width - 1
+                top = sum(2**i - 1 for i in range(first, last + 1))
+                for bound in range(-3, top + 4):
+                    assert thabit._fit_count(bound, first, last) == \
+                        spec_reference.fit_count_scan(bound, first, last), (bound, first, last)
+
+    def test_fit_count_random_bounds(self):
+        rng = random.Random(12)
+        for _ in range(20_000):
+            first = rng.randint(1, 80)
+            last = rng.randint(first - 5, first + 120)
+            bound = rng.randint(-(2 ** rng.randint(0, 200)), 2 ** rng.randint(0, 200))
+            assert thabit._fit_count(bound, first, last) == \
+                spec_reference.fit_count_scan(bound, first, last), (bound, first, last)
+
+    def test_popcount_sum_small_counts(self):
+        for c in range(3000):
+            assert thabit._popcount_sum(c) == sum(bin(x).count("1") for x in range(c)), c
+
+    def test_popcount_sum_random_counts(self):
+        rng = random.Random(13)
+        counts = [rng.getrandbits(rng.randint(1, 400)) for _ in range(2000)]
+        counts += [2**b + d for b in range(400) for d in (-1, 0, 1)]
+        for c in counts:
+            assert thabit._popcount_sum(c) == spec_reference.popcount_sum_by_bits(c), c
+
+    @pytest.mark.parametrize("n,k", [(4000, 3), (3, 4000), (2000, 2000)])
+    def test_genus_runtime_budget_at_n_plus_k_4000(self, n, k):
+        start = time.perf_counter()
+        genus = genus_closed(n, k)          # raises unless the division is exact
+        assert time.perf_counter() - start < 1.0, "runtime budget 1 s"
+        frobenius = frobenius_closed(n, k)
+        # every gap lies in [1, F], and of x and F - x at most one is in S
+        assert (frobenius + 1) // 2 <= genus <= frobenius
+
+
+def run_maxima(n, k):
+    """The largest Q-value of each run (j, count) of ``_apery_runs``.
+
+    Its mask is M = (count - 1) << j, worth 2*A*M - B*popcount(M), plus
+    2*s_j for the 2 at j when j >= 1.
+    """
+    b = 2**k - 1
+    a = generator_at(n, k, 0) + b
+    tops = []
+    for j, count in thabit._apery_runs(n, k):
+        mask = (count - 1) << j
+        top = 2 * a * mask - b * mask.bit_count()
+        tops.append(top + 2 * ((a << j) - b) if j else top)
+    return tops
+
+
+def check_runs_against_max_apery(n, k):
+    """The case rules of ``_apery_runs`` against the per-case maxima of
+    ``max_apery``: two closed forms, written apart, that must agree at any
+    size, a cheap consistency check in the sense of certifying algorithms
+    (McConnell, Mehlhorn, Naher and Schweitzer, Computer Science Review
+    2011).  It does not show that the values are distinct mod s_0; only
+    the oracle's table checks that."""
+    counts = [count for _, count in thabit._apery_runs(n, k)]
+    assert min(counts) >= 1
+    assert sum(counts) == generator_at(n, k, 0)
+    assert max(run_maxima(n, k)) == max_apery(n, k)
+
+
+class TestRunsAgreeWithMaxApery:
+    def test_every_point_up_to_60(self):
+        for n in range(0, 61):
+            for k in range(1, 61):
+                check_runs_against_max_apery(n, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 1000), st.integers(1, 1000))
+    @example(1000, 1)
+    @example(1000, 999)
+    @example(1000, 1000)
+    @example(999, 1000)
+    @example(0, 1000)
+    @example(1, 2)
+    def test_up_to_1000(self, n, k):
+        check_runs_against_max_apery(n, k)
