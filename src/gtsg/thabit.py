@@ -6,13 +6,14 @@ generating set, embedding dimension, the coefficient-set description of the
 Apery set of s_0, the maximal Apery element, the Frobenius number and the
 genus, all without enumerating semigroup elements.
 
-With s_i = A*2^i - B, the maximal Apery element and the Frobenius number
-take O(m) big-integer operations, m = n + delta, and never recurse: the
-coefficient prefix they need is a greedy skew-binary conversion, and the
-generator sums are geometric.  The genus applies Selmer's formula to the
-Apery sum, taken run by run in closed form without listing the values.
-Each case's Apery rule is three numbers of one run rule, so the m runs,
-and the genus with them, cost O(m) big-integer operations.
+Each case's Apery rule, (1, 2) aside, is three numbers (head, last,
+bound), stated once in :func:`_rule`.  With s_i = A*2^i - B, the maximal
+Apery element is the rule's top pattern plus one skew-binary prefix,
+which a greedy conversion takes a run of ones at a time, so it and the
+Frobenius number take O(m) big-integer operations, m = n + delta, and
+never recurse.  The genus applies Selmer's formula to the Apery sum,
+taken run by run in closed form without listing the values, so the m
+runs, and the genus with them, cost O(m) big-integer operations.
 
 :func:`generator_decimals` writes the generators in base 10 for output.
 It steps s_(i+1) = 2*s_i + B in exact Decimal arithmetic, whose
@@ -143,62 +144,82 @@ def coeff_solve(target: int, length: int) -> tuple[int, ...] | None:
     at any position here because prefixes are completed by later
     coefficients.  Returns None when target lies outside that range.
 
-    The greedy starts at the bit length of the target and, after each
-    digit it takes, jumps to the bit length of the remainder, so it makes
-    at most two steps per nonzero digit, however long the prefix.
+    With i the bit length of x, x = 2^i - 1 is a 1 at position i,
+    x = 2^i - 2 a 2 at i - 1, and any other x a 1 at i - 1, which clears
+    its top bit and adds 1.  A top run of r ones above a 0 bit is thus r
+    1s in a row, taken in one subtraction unless the low part plus r
+    carries into that bit, so the prefixes of :func:`max_apery` cost a few
+    full-width operations, however many ones they have.
     """
+    if not 0 <= target <= 2 * ((1 << length) - 1):
+        return None
     t = [0] * length
     x = target
-    # position i weighs 2^i - 1, so no position above x's bit length fits
-    i = min(length, x.bit_length())
-    while x > 0 and i > 0:
-        w = (1 << i) - 1
-        if x == 2 * w:
-            # a 2 forces zeros below it
-            t[i - 1] = 2
-            return tuple(t)
-        if x >= w:
+    while x:
+        i = x.bit_length()
+        if x == (1 << i) - 1:
             t[i - 1] = 1
-            x -= w
-            i = min(i, x.bit_length() + 1)
-        i -= 1
-    return tuple(t) if x == 0 else None
+            break
+        if x == (1 << i) - 2:
+            # a 2 forces zeros below it
+            t[i - 2] = 2
+            break
+        zero = (x ^ ((1 << i) - 1)).bit_length() - 1
+        r = i - 1 - zero
+        if (x & ((1 << zero) - 1)) + r >> zero:
+            r = 1                       # the low part carries into the 0 bit
+        t[i - 1 - r:i - 1] = [1] * r
+        x -= (((1 << r) - 1) << (i - r)) - r
+    return tuple(t)
 
 
-def _prefix_sum(a: int, b: int, target: int, length: int) -> int:
-    """sum t_i*s_i over the prefix solving P = target.
+def _rule(n: int, k: int) -> tuple[int, int, int]:
+    """The Apery rule of GT(n,k) as three numbers (head, last, bound).
 
-    With s_i = A*2^i - B and c = sum t_i this is A*(P + c) - B*c, since
-    sum t_i*2^i = P + c.
+    The first ``head`` masks (bit i-1 for t_i = 1) lie below the case's
+    pinned top pattern and are all kept, and past them come the masks with
+    that pattern, kept while the scalar of t_1 .. t_last stays within
+    ``bound``.  Every case but (1, 2) is such a rule.
     """
-    t = coeff_solve(target, length)
-    assert t is not None
-    c = sum(t)
-    return a * (target + c) - b * c
-
-
-def _block_sum(a: int, b: int, lo: int, hi: int) -> int:
-    """s_lo + ... + s_hi = A*(2^(hi+1) - 2^lo) - (hi-lo+1)*B."""
-    return a * ((2 << hi) - (1 << lo)) - (hi - lo + 1) * b
+    case = case_of(n, k)
+    m = n + delta(n, k)
+    if case is Case.N0:
+        # t_1 in {0, 1}
+        return 1, 0, 0
+    if case is Case.K1:
+        # t_n = t_(n+1) = 1 pins every other entry to 0, and t_n = 2 forces
+        # t_(n+1) = 0
+        return 3 << (n - 1), n - 1, 0
+    if case is Case.KEQ_N:
+        # t_(2n) = 1 leaves only t_1 in {0, 1} free
+        return 1 << (m - 1), 1, 1
+    if case is Case.KLT_N:
+        # t_m = 1 forces t_n .. t_(n+k-1) = 0 and t_(n-1) <= 1, and
+        # t_(n-1) = 1 then bounds the scalar of t_1 .. t_(n-2)
+        return (1 << (m - 1)) + (1 << (n - 2)), n - 2, (1 << (n - 1)) - (1 << k) + 2
+    # KGT_N: with all of the top n positions t_k .. t_(n+k-1) equal to 1
+    # the scalar of t_1 .. t_(k-1) is bounded; a 2 in that block must not
+    # be followed by all ones
+    return ((1 << n) - 1) << (k - 1), k - 1, (1 << n) + n
 
 
 def max_apery(n: int, k: int) -> int:
-    """max(Ap(GT(n,k), s_0)) by the per-case closed form."""
-    case = case_of(n, k)
-    a, b = _affine(n, k)
-    s = lambda i: (a << i) - b
-    if case is Case.N0:
-        return s(1)
-    if case is Case.K1:
-        return s(n) + s(n + 1)
-    if case is Case.EXCEPTION_1_2:
+    """max(Ap(GT(n,k), s_0)): the case rule's top pattern plus one prefix.
+
+    Under :func:`_rule` the largest Apery sequence is the pinned top pattern
+    ``head`` (bit i-1 for t_i = 1), worth 2A*head - B*popcount(head), plus
+    the skew-binary prefix t_1 .. t_last that solves P = bound.  With
+    s_i = A*2^i - B and c = sum t_i the prefix is worth A*(P + c) - B*c,
+    since sum t_i*2^i = P + c.
+    """
+    if case_of(n, k) is Case.EXCEPTION_1_2:
         return 74
-    if case is Case.KLT_N:
-        return _prefix_sum(a, b, 2 ** (n - 1) - 2**k + 2, n - 2) + s(n - 1) + s(n + k)
-    if case is Case.KEQ_N:
-        return s(1) + s(2 * n)
-    # KGT_N
-    return _prefix_sum(a, b, 2**n + n, k - 1) + _block_sum(a, b, k, n + k - 1)
+    a, b = _affine(n, k)
+    head, last, bound = _rule(n, k)
+    t = coeff_solve(bound, last)
+    assert t is not None, f"no prefix of length {last} solves P = {bound}"
+    c = sum(t)
+    return a * (2 * head + bound + c) - b * (head.bit_count() + c)
 
 
 def frobenius_closed(n: int, k: int) -> int:
@@ -241,40 +262,16 @@ def _apery_runs(n: int, k: int) -> list[tuple[int, int]]:
     cut off the largest tails, so the kept sequences with the 2 at j are
     exactly the tails 0 .. count-1.
 
-    Every case but (1, 2) is one rule in three numbers: the first ``head``
-    masks lie below the case's pinned top pattern and are all kept, and
-    past them come the masks with that pattern, kept while the scalar of
-    t_1 .. t_last stays within ``bound``.  With the 2 at j the tails are
-    the masks shifted down by j, so j + 1 .. last stay free, and the 2
-    itself takes 2*(2^j - 1) of the bound.
+    Under :func:`_rule` the tails with the 2 at j are the masks shifted
+    down by j, so j + 1 .. last stay free, and the 2 itself takes
+    2*(2^j - 1) of the bound.
     """
-    case = case_of(n, k)
-    if case is Case.EXCEPTION_1_2:
+    if case_of(n, k) is Case.EXCEPTION_1_2:
         # 74 = 2*s_2 breaks the t_m <= 1 rule; the set is literal here
         return [(0, 4), (1, 2), (2, 1)]
-    m = n + delta(n, k)
-    if case is Case.N0:
-        # t_1 in {0, 1}
-        head, last, bound = 1, 0, 0
-    elif case is Case.K1:
-        # t_n = t_(n+1) = 1 pins every other entry to 0, and t_n = 2 forces
-        # t_(n+1) = 0
-        head, last, bound = 3 << (n - 1), n - 1, 0
-    elif case is Case.KEQ_N:
-        # t_(2n) = 1 leaves only t_1 in {0, 1} free
-        head, last, bound = 1 << (m - 1), 1, 1
-    elif case is Case.KLT_N:
-        # t_m = 1 forces t_n .. t_(n+k-1) = 0 and t_(n-1) <= 1, and
-        # t_(n-1) = 1 then bounds the scalar of t_1 .. t_(n-2)
-        head, last = (1 << (m - 1)) + (1 << (n - 2)), n - 2
-        bound = (1 << (n - 1)) - (1 << k) + 2
-    else:
-        # KGT_N: with all of the top n positions t_k .. t_(n+k-1) equal to 1
-        # the scalar of t_1 .. t_(k-1) is bounded; a 2 in that block must not
-        # be followed by all ones
-        head, last, bound = ((1 << n) - 1) << (k - 1), k - 1, (1 << n) + n
+    head, last, bound = _rule(n, k)
     return [(j, (head >> j) + _fit_count(bound - 2 * ((1 << j) - 1), j + 1, last))
-            for j in range(m)]
+            for j in range(n + delta(n, k))]
 
 
 def _apery_entries(n: int, k: int) -> tuple[int, list[tuple[list[int], range]]]:

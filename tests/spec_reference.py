@@ -7,9 +7,9 @@ check the two against each other.
 
 The genus is Selmer's formula applied to the listed Apery values.  The
 maximal Apery element is written out as its full coefficient sequence
-and summed term by term, where ``gtsg.thabit`` uses geometric sums; the
-k = 2 Frobenius formula and the k < n shortcut are kept here as the
-paper states them.
+and summed term by term, where ``gtsg.thabit`` reads it off the three
+numbers of its one case rule; the k = 2 Frobenius formula and the k < n
+shortcut are kept here as the paper states them.
 
 The generic oracle's Apery table is kept here as Dijkstra's shortest
 paths on the residue graph (Nijenhuis, Amer. Math. Monthly 1979), the
@@ -17,7 +17,7 @@ algorithm ``gtsg.oracle`` used before its round robin.
 
 Also kept here: the Q-value of a coefficient sequence, summed generator
 by generator; the skew-binary greedy that visits every position from the
-top, which ``gtsg.thabit.coeff_solve`` shortcuts by bit lengths; and the
+top, which ``gtsg.thabit.coeff_solve`` shortcuts by runs of ones; and the
 gaps of a semigroup, listed by membership tests up to its Frobenius
 number.
 

@@ -1,0 +1,46 @@
+"""The package holds only what the CLI and the public API use.
+
+A module-level function or class, or a method of such a class, must be
+named somewhere in ``src/gtsg`` (by a Name or an Attribute node), be
+exported in ``gtsg.__all__`` or be the ``[project.scripts]`` entry point.
+Code that only the tests need lives in ``tests/spec_reference.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import gtsg
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gtsg"
+PYPROJECT = ROOT / "pyproject.toml"
+
+
+def definitions(tree):
+    """The module-level functions and classes of a module, and the methods
+    of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_every_definition_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    scripts = PYPROJECT.read_text().split("[project.scripts]", 1)[1]
+    entry = re.search(r'"gtsg\.\w+:(\w+)"', scripts).group(1)
+    kept = named | set(gtsg.__all__) | {entry}
+    unused = [f"{module}:{node.lineno} {node.name}"
+              for module, tree in trees.items()
+              for node in definitions(tree) if node.name not in kept]
+    assert not unused, f"defined but never used: {unused}"

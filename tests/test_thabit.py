@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spec_reference
@@ -160,6 +160,23 @@ class TestCoeffSolve:
         assert coeff_solve(top + 1, length) is None
         assert coeff_solve(-1, length) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 149), st.integers(1, 48), st.integers(-1, 1),
+           st.integers(-1, 2))
+    @example(5, 3, -1, 0)
+    @example(5, 3, 0, 0)
+    @example(5, 3, 1, 0)
+    def test_runs_of_ones_equal_the_full_scan(self, zero, r, carry, extra):
+        # a top run of r ones above the 0 bit ``zero``, and a low part that
+        # puts low + r one below, at or one past that bit: the solver takes
+        # the run in one step only in the first case
+        low = (1 << zero) - r + carry
+        assume(0 <= low < 1 << zero)
+        target = (((1 << r) - 1) << (zero + 1)) + low
+        length = target.bit_length() + extra
+        assert coeff_solve(target, length) == \
+            spec_reference.coeff_solve_scan(target, length), (target, length)
+
 
 class TestMaxApery:
     def test_reference_values(self):
@@ -176,12 +193,14 @@ class TestMaxApery:
 
     @pytest.mark.parametrize("n,k", [
         (0, 10_000), (10_000, 1), (10_000, 3), (10_500, 10_000), (10_000, 10_000),
-        (3, 10_000), (2_000, 10_001),
+        (3, 10_000), (2_000, 10_001), (4_000, 2_000),
     ])
     def test_term_by_term_large(self, n, k):
         assert max_apery(n, k) == spec_reference.max_apery_term_by_term(n, k)
 
-    @pytest.mark.parametrize("n,k", [(1, 300_000), (300_000, 299_999)])
+    @pytest.mark.parametrize("n,k", [
+        (1, 300_000), (300_000, 299_999), (300_000, 150_000),
+    ])
     def test_runtime_budget_at_large_n_or_k(self, n, k):
         start = time.perf_counter()
         value = max_apery(n, k)
@@ -399,16 +418,19 @@ def run_maxima(n, k):
 
 
 def check_runs_against_max_apery(n, k):
-    """The case rules of ``_apery_runs`` against the per-case maxima of
-    ``max_apery``: two closed forms, written apart, that must agree at any
-    size, a cheap consistency check in the sense of certifying algorithms
+    """The runs of ``_apery_runs`` against ``max_apery`` and against the
+    per-case maximum of the reference, written apart from the one case
+    rule that both of them read: closed forms that must agree at any size,
+    a cheap consistency check in the sense of certifying algorithms
     (McConnell, Mehlhorn, Naher and Schweitzer, Computer Science Review
     2011).  It does not show that the values are distinct mod s_0; only
     the oracle's table checks that."""
     counts = [count for _, count in thabit._apery_runs(n, k)]
     assert min(counts) >= 1
     assert sum(counts) == generator_at(n, k, 0)
-    assert max(run_maxima(n, k)) == max_apery(n, k)
+    top = max(run_maxima(n, k))
+    assert top == max_apery(n, k)
+    assert top == spec_reference.max_apery_term_by_term(n, k)
 
 
 class TestRunsAgreeWithMaxApery:
