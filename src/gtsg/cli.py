@@ -141,29 +141,35 @@ def cmd_apery(args) -> int:
     n, k = args.n, args.k
     s0 = thabit.generator_at(n, k, 0)
     _check_cap("s0", s0, args.force)
-    values = thabit.apery_set_closed(n, k)
 
-    def coeffs():
-        tuples = thabit.apery_coeffs(n, k)
+    # one thabit listing a command, made inside the builder so that no
+    # list outlives it: the values, and the coefficient lines if printed
+    def listing():
+        if not (args.with_coeffs or args.format == "csv"):
+            return thabit.apery_set_closed(n, k), None
+        values, tuples = thabit.apery_coeffs(n, k)
         line = " ".join(["%d"] * len(tuples[0]))   # one format call a sequence
-        return [line % t for t in tuples]
+        return values, [line % t for t in tuples]
 
     def record():
         # decimal strings in bulk, not through _jsonify: splitting the
         # coefficient lines reuses CPython's cached one-character strings
+        values, coeffs = listing()
         data = {"n": str(n), "k": str(k), "s0": str(s0), "apery": list(map(str, values))}
-        if args.with_coeffs:
-            data["coeffs"] = [c.split(" ") for c in coeffs()]
+        if coeffs is not None:
+            data["coeffs"] = [c.split(" ") for c in coeffs]
         return data
 
     def rows():
+        values, coeffs = listing()
         yield ("residue", "value", "coeffs")
-        yield from zip((v % s0 for v in values), values, coeffs())
+        yield from zip((v % s0 for v in values), values, coeffs)
 
     def text():
-        if not args.with_coeffs:
+        values, coeffs = listing()
+        if coeffs is None:
             return "".join(f"{v}\n" for v in values)
-        return "".join(f"{v} {c}\n" for v, c in zip(values, coeffs()))
+        return "".join(f"{v} {c}\n" for v, c in zip(values, coeffs))
 
     _write(args.format, json=record, csv=rows, text=text)
     return 0

@@ -25,18 +25,20 @@ Q = t_1*s_1 + ... + t_m*s_m and the scalar P = sum t_i*(2^i - 1).  A
 sequence is "valid" when t_m <= 1 and a 2 at position j forces zeros at all
 positions before j; at most one 2 can occur.
 
-One enumerator, :func:`_apery_entries`, lists the Apery coefficient set: a
-sequence is the bitmask of its 1s and the position of its single 2, the
-kept masks of each position form one run, and the values are read off a
-subset-sum table.  :func:`apery_set_closed` sorts the values and
-:func:`apery_coeffs` decodes the sequences in the same order.  The
-spec-literal form, every valid tuple filtered by the per-case rules, is
-kept in the test suite as the reference for this one.
+One listing, :func:`_apery_listing`, enumerates the Apery coefficient
+set: a sequence is the bitmask of its 1s and the position of its single 2,
+the kept masks of each position form one run, and the values are read off
+a subset-sum table, sorted and checked once.  :func:`apery_set_closed`
+returns the values and :func:`apery_coeffs` ``(values, coeffs)``, the
+sequences decoded in the same order.  The spec-literal form, every valid
+tuple filtered by the per-case rules, is kept in the test suite as the
+reference for this one.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import lt
 
 from .oracle import Semigroup, make_semigroup
 
@@ -274,40 +276,39 @@ def _apery_runs(n: int, k: int) -> list[tuple[int, int]]:
             for j in range(n + delta(n, k))]
 
 
-def _apery_entries(n: int, k: int) -> tuple[int, list[tuple[list[int], range]]]:
-    """m and, run by run, the Q-values of the Apery coefficient set and
-    their codes mask | (j << m).
+def _apery_listing(n: int, k: int, coded: bool = False) -> tuple[int, list, list | None]:
+    """m, the Q-values of Ap(GT(n,k), s_0) ascending and, if ``coded``, the
+    codes mask | (j << m) of their coefficient sequences in the same order.
 
-    Since s_i exceeds s_1 + ... + s_(i-1), the subset sums grow with the
-    mask, so each run's values come out ascending and a sort only merges
-    the runs.
+    The subset sums grow with the mask (s_i > s_1 + ... + s_(i-1)), so each
+    run comes out ascending and one sort merges the runs: an argsort when
+    the codes must follow the values, else a plain sort.  The sorted values
+    must be s_0, strictly ascending.
     """
     m = n + delta(n, k)
     svals = [generator_at(n, k, i) for i in range(1, m + 1)]
     sums = _subset_sums(svals)
-    entries = []
+    values, spans, codes = [], [], None
     for j, count in _apery_runs(n, k):
-        step = 1 << j
-        values = sums[: count * step : step]
-        if j:
-            base = 2 * svals[j - 1]
-            values = [base + v for v in values]
-        entries.append((values, range(j << m, (j << m) + count * step, step)))
-    return m, entries
+        run = sums[: count << j : 1 << j]
+        values += map((2 * svals[j - 1]).__add__, run) if j else run
+        spans.append(range(j << m, (j << m) + (count << j), 1 << j))
+    if coded:
+        order = sorted(range(len(values)), key=values.__getitem__)
+        flat = [c for span in spans for c in span]
+        values, codes = [values[i] for i in order], [flat[i] for i in order]
+    else:
+        values.sort()
+    s0 = generator_at(n, k, 0)
+    if len(values) != s0 or not all(map(lt, values, values[1:])):
+        raise AssertionError(f"closed Apery set for ({n},{k}) has {len(values)} values, "
+                             f"expected {s0}")
+    return m, values, codes
 
 
 def apery_set_closed(n: int, k: int) -> list[int]:
-    """Ap(GT(n,k), s_0) as a sorted list; its size must equal s_0."""
-    values = []
-    for run, _ in _apery_entries(n, k)[1]:
-        values += run
-    values.sort()
-    s0 = generator_at(n, k, 0)
-    if len(values) != s0 or len(set(values)) != s0:
-        raise AssertionError(
-            f"closed Apery set for ({n},{k}) has {len(values)} values, expected {s0}"
-        )
-    return values
+    """Ap(GT(n,k), s_0) as a sorted list of s_0 distinct values."""
+    return _apery_listing(n, k)[1]
 
 
 def _bit_tuples(length: int) -> list[tuple[int, ...]]:
@@ -318,15 +319,10 @@ def _bit_tuples(length: int) -> list[tuple[int, ...]]:
     return table
 
 
-def apery_coeffs(n: int, k: int) -> list[tuple[int, ...]]:
-    """Coefficient sequences (t_1, ..., t_m) whose Q-values make up
-    Ap(GT(n,k), s_0), in the order of :func:`apery_set_closed`."""
-    m, entries = _apery_entries(n, k)
-    values, codes = [], []
-    for run, span in entries:
-        values += run
-        codes += span
-    order = sorted(range(len(values)), key=values.__getitem__)
+def apery_coeffs(n: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Ap(GT(n,k), s_0) as :func:`apery_set_closed` returns it, and in the
+    same order each value's coefficient sequence (t_1, ..., t_m)."""
+    m, values, codes = _apery_listing(n, k, coded=True)
     # decode each half of the mask by table; a table per position of the 2
     # puts the 2 into the half that holds it
     h = m // 2
@@ -341,12 +337,8 @@ def apery_coeffs(n: int, k: int) -> list[tuple[int, ...]]:
         else:
             lows.append(low)
             highs.append([t[: j - 1 - h] + (2,) + t[j - h:] for t in high])
-    coeffs = []
-    for i in order:
-        c = codes[i]
-        j = c >> m
-        coeffs.append(lows[j][c & low_mask] + highs[j][(c & full) >> h])
-    return coeffs
+    return values, [lows[c >> m][c & low_mask] + highs[c >> m][(c & full) >> h]
+                    for c in codes]
 
 
 def _popcount_sum(count: int) -> int:

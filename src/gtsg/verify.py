@@ -8,11 +8,11 @@ oracle's minimal-generator reduction.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import thabit
-from .oracle import make_semigroup
 
 DEFAULT_S0_MAX = 200_000
 
@@ -125,9 +125,10 @@ def verify_grid(n_max: int | None = None, k_max: int | None = None,
     points = grid_points(n_max, k_max, s0_max)
     if not points:
         raise ValueError("the grid has no points; raise --s0-max or the n/k limits")
-    if jobs > 1 and len(points) > 1:
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
         ns, ks = zip(*points)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify_point, ns, ks, chunksize=4))
     else:
         reports = [verify_point(n, k) for n, k in points]

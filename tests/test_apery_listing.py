@@ -9,10 +9,11 @@ tuple reference of ``spec_reference``, sorted by value, with values from
 import csv
 import io
 import json
+import re
 
 import pytest
 
-from gtsg import cli
+from gtsg import cli, thabit
 from gtsg.thabit import (
     Case,
     apery_coeffs,
@@ -76,7 +77,7 @@ def test_listing_matches_reference(capsys, case, fmt, with_coeffs):
                                  (7, 2), (4, 4), (1, 6), (3, 8), (5, 6)])
 def test_coeffs_line_up_with_values(n, k):
     values = apery_set_closed(n, k)
-    coeffs = apery_coeffs(n, k)
+    _, coeffs = apery_coeffs(n, k)
     assert [coeff_value(n, k, t) for t in coeffs] == values
     m = n + delta(n, k)
     for t in coeffs:
@@ -86,3 +87,40 @@ def test_coeffs_line_up_with_values(n, k):
             assert t.count(2) == 1 and not any(t[:j]), t
     if (n, k) != (1, 2):
         assert all(t[-1] <= 1 for t in coeffs)
+
+
+@pytest.mark.parametrize("with_coeffs", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("case", list(POINTS), ids=lambda c: c.name)
+def test_one_enumeration_per_command(capsys, monkeypatch, case, fmt, with_coeffs):
+    n, k = POINTS[case]
+    calls = []
+    runs = thabit._apery_runs
+
+    def counted(n, k):
+        calls.append((n, k))
+        return runs(n, k)
+    monkeypatch.setattr(thabit, "_apery_runs", counted)
+    argv = ["apery", "--n", str(n), "--k", str(k), "--format", fmt]
+    if with_coeffs:
+        argv.append("--with-coeffs")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == render(n, k, fmt, with_coeffs)
+    assert calls == [(n, k)]
+
+
+def test_a_repeated_value_fails_the_self_check(capsys, monkeypatch):
+    # two masks worth the same: the set keeps s_0 values, but not distinct
+    subset_sums = thabit._subset_sums
+
+    def repeated(vals):
+        sums = subset_sums(vals)
+        sums[1] = sums[0]
+        return sums
+    monkeypatch.setattr(thabit, "_subset_sums", repeated)
+    message = "closed Apery set for (3,2) has 37 values, expected 37"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        apery_set_closed(3, 2)
+    assert cli.main(["apery", "--n", "3", "--k", "2", "--with-coeffs"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"gtsg: error: AssertionError: {message}\n")

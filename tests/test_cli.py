@@ -303,6 +303,36 @@ class TestVerify:
                         "--s0-max", "2000", "--jobs", "2")
         assert seq == par
 
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (100000, 64, 35),   # one worker a point: the s0 <= 300 grid has 35
+        (100000, 3, 3),     # one a CPU
+        (100000, None, None),   # CPU count unknown: no pool
+        (1, 64, None),
+    ])
+    def test_pool_workers_are_capped(self, capsys, monkeypatch, jobs, cpus, workers):
+        made = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        assert len(verify.grid_points(None, None, 300)) == 35
+        _, serial, _ = run(capsys, "verify", "--s0-max", "300")
+        code, out, _ = run(capsys, "verify", "--s0-max", "300", "--jobs", str(jobs))
+        assert (code, out) == (0, serial)
+        assert made == ([] if workers is None else [workers])
+
     def test_failed_self_check_is_a_mismatch(self, capsys, monkeypatch):
         # one Apery value short at (1,1): apery_set_closed fails its size
         # check and genus_closed its exact division, both AssertionError

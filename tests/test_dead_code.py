@@ -4,6 +4,7 @@ A module-level function or class, or a method of such a class, must be
 named somewhere in ``src/gtsg`` (by a Name or an Attribute node), be
 exported in ``gtsg.__all__`` or be the ``[project.scripts]`` entry point.
 Code that only the tests need lives in ``tests/spec_reference.py``.
+Every name a module other than ``__init__`` imports must be used in it.
 """
 
 import ast
@@ -44,3 +45,29 @@ def test_every_definition_is_used():
               for module, tree in trees.items()
               for node in definitions(tree) if node.name not in kept]
     assert not unused, f"defined but never used: {unused}"
+
+
+def bound_names(node):
+    """The names an import statement binds in its module."""
+    for alias in node.names:
+        if alias.asname:
+            yield alias.asname
+        elif isinstance(node, ast.Import):
+            yield alias.name.split(".")[0]
+        else:
+            yield alias.name
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue    # its imports are the package's re-exports
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in bound_names(node) if name not in used]
+    assert not unused, f"imported but never used: {unused}"
