@@ -29,9 +29,9 @@ from .oracle import SemigroupError, make_semigroup
 DEFAULT_APERY_CAP = 1_000_000
 
 
-class TooLarge(Exception):
+class TooLarge(ValueError):
     """Enumeration refused because s_0, a table modulus or verify's largest
-    s_0 exceeds the cap and nothing lifts it."""
+    s_0 exceeds the cap; raising GTSG_S0_CAP lifts it."""
 
 
 def _apery_cap() -> int:
@@ -106,16 +106,15 @@ def cmd_info(args) -> int:
         "frobenius": max_apery - s0,
         "genus": None,
     }
-    # the genus costs O(m) big-integer operations; it keeps the s0 cap only
-    # so that info prints what it printed until the benchmark checks a genus
-    # above the cap
-    if s0 <= _apery_cap() or args.force:
+    # the genus's popcount sums cost far more than the rest of info once
+    # n + k is large (up to seconds at n + k = 4000), so the s0 cap guards it
+    if s0 <= _apery_cap():
         data["genus"] = thabit.genus_closed(n, k)
 
     def text():
         genus = data["genus"]
         if genus is None:
-            genus = "(skipped: s0 exceeds enumeration cap; use --force)"
+            genus = "(skipped: s0 exceeds enumeration cap; raise GTSG_S0_CAP)"
         return (f"GT({n},{k})\n"
                 f"generators = {_spaced(gens)}\n"
                 f"delta = {data['delta']}\n"
@@ -129,18 +128,18 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _check_cap(what: str, size: int, force: bool,
-               lever: str = "pass --force to enumerate anyway") -> None:
-    """Raise TooLarge when ``size`` exceeds the cap and ``force`` is off;
-    the message ends in ``lever``, the way to lift the cap."""
-    if size > _apery_cap() and not force:
-        raise TooLarge(f"{what} = {size} exceeds the enumeration cap {_apery_cap()}; {lever}")
+def _check_cap(what: str, size: int) -> None:
+    """Raise TooLarge when ``size`` exceeds the cap."""
+    cap = _apery_cap()
+    if size > cap:
+        raise TooLarge(f"{what} = {size} exceeds the enumeration cap {cap}; "
+                       "raise GTSG_S0_CAP to lift it")
 
 
 def cmd_apery(args) -> int:
     n, k = args.n, args.k
     s0 = thabit.generator_at(n, k, 0)
-    _check_cap("s0", s0, args.force)
+    _check_cap("s0", s0)
 
     # one thabit listing a command, made inside the builder so that no
     # list outlives it: the values, and the coefficient lines if printed
@@ -192,7 +191,7 @@ def cmd_oracle(args) -> int:
     modulus = gens.gens[0]
     if what == "apery" and args.x is not None:
         modulus = max(modulus, args.x)
-    _check_cap("modulus", modulus, args.force)
+    _check_cap("modulus", modulus)
     if what == "apery":
         table = gens.apery_set(args.x)
         values = sorted(table.w)
@@ -223,8 +222,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # verify has no --force: its whole sweep is sized by --s0-max
-    _check_cap("s0-max", args.s0_max, False, "raise GTSG_S0_CAP to sweep anyway")
+    _check_cap("s0-max", args.s0_max)
     report = verify.verify_grid(
         n_max=args.n_max, k_max=args.k_max, s0_max=args.s0_max, jobs=args.jobs
     )
@@ -264,13 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     formats = ("text", "json", "csv")
 
-    def add_nk(p, force=True):
+    def add_nk(p):
         p.add_argument("--n", type=int, required=True, help="exponent offset n >= 0")
         p.add_argument("--k", type=int, required=True, help="coefficient index k >= 1")
         p.add_argument("--format", choices=formats, default="text")
-        if force:   # frobenius never enumerates, so it has no cap to lift
-            p.add_argument("--force", action="store_true",
-                           help="enumerate even when s0 exceeds the cap")
 
     p_info = sub.add_parser("info", help="closed-form summary for GT(n,k)")
     add_nk(p_info)
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apery.set_defaults(func=cmd_apery)
 
     p_fr = sub.add_parser("frobenius", help="closed-form Frobenius number")
-    add_nk(p_fr, force=False)
+    add_nk(p_fr)
     p_fr.set_defaults(func=cmd_frobenius)
 
     p_oracle = sub.add_parser("oracle", help="generic semigroup computations")
@@ -294,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--x", type=int, default=None,
                           help="Apery modulus / membership candidate")
     p_oracle.add_argument("--format", choices=formats, default="text")
-    p_oracle.add_argument("--force", action="store_true",
-                          help="tabulate even when the modulus exceeds the cap")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="closed-form vs oracle sweep")
@@ -338,8 +331,8 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (SemigroupError, TooLarge, ValueError) as exc:
-        # n < 0 or k < 1 lands here too: thabit checks them before any work
+    except ValueError as exc:
+        # SemigroupError, TooLarge, and n < 0 or k < 1 (checked before any work)
         print(f"gtsg: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

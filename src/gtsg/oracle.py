@@ -92,7 +92,8 @@ class Semigroup:
         total = sum(_apery_w(self.gens, m))
         num = 2 * total - m * (m - 1)
         q, r = divmod(num, 2 * m)
-        assert r == 0, "genus formula did not divide exactly"
+        if r != 0:
+            raise AssertionError("genus formula did not divide exactly")
         return q
 
     def minimal_generators(self) -> "Semigroup":
@@ -174,5 +175,6 @@ def _apery_w(gens: tuple[int, ...], x: int) -> tuple[int, ...]:
                 else:
                     n = w[r]
     # gcd(gens) = 1 makes every residue reachable
-    assert inf not in w
+    if inf in w:
+        raise AssertionError("a residue has no semigroup element")
     return tuple(w)

@@ -12,8 +12,9 @@ Apery element is the rule's top pattern plus one skew-binary prefix,
 which a greedy conversion takes a run of ones at a time, so it and the
 Frobenius number take O(m) big-integer operations, m = n + delta, and
 never recurse.  The genus applies Selmer's formula to the Apery sum,
-taken run by run in closed form without listing the values, so the m
-runs, and the genus with them, cost O(m) big-integer operations.
+taken run by run in closed form without listing the values; a popcount
+sum per run, whose recursion grows with the bits of the run's count, makes
+it the dearest closed form: 0.2 s at GT(4000, 3), 3-4 s at GT(3000, 1000).
 
 :func:`generator_decimals` writes the generators in base 10 for output.
 It steps s_(i+1) = 2*s_i + B in exact Decimal arithmetic, whose
@@ -61,16 +62,16 @@ def _check_params(n: int, k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def generator_at(n: int, k: int, i: int) -> int:
-    """s_i = (2^k + 1) * 2^(n+i) - (2^k - 1)."""
-    _check_params(n, k)
-    return (2**k + 1) * 2 ** (n + i) - (2**k - 1)
-
-
 def _affine(n: int, k: int) -> tuple[int, int]:
     """(A, B) with s_i = A*2^i - B: A = (2^k+1)*2^n and B = 2^k - 1."""
     _check_params(n, k)
     return ((1 << k) + 1) << n, (1 << k) - 1
+
+
+def generator_at(n: int, k: int, i: int) -> int:
+    """s_i = (2^k + 1) * 2^(n+i) - (2^k - 1)."""
+    a, b = _affine(n, k)
+    return (a << i) - b
 
 
 def delta(n: int, k: int) -> int:
@@ -219,7 +220,8 @@ def max_apery(n: int, k: int) -> int:
     a, b = _affine(n, k)
     head, last, bound = _rule(n, k)
     t = coeff_solve(bound, last)
-    assert t is not None, f"no prefix of length {last} solves P = {bound}"
+    if t is None:
+        raise AssertionError(f"no prefix of length {last} solves P = {bound}")
     c = sum(t)
     return a * (2 * head + bound + c) - b * (head.bit_count() + c)
 
@@ -286,7 +288,8 @@ def _apery_listing(n: int, k: int, coded: bool = False) -> tuple[int, list, list
     must be s_0, strictly ascending.
     """
     m = n + delta(n, k)
-    svals = [generator_at(n, k, i) for i in range(1, m + 1)]
+    a, b = _affine(n, k)
+    svals = [(a << i) - b for i in range(1, m + 1)]
     sums = _subset_sums(svals)
     values, spans, codes = [], [], None
     for j, count in _apery_runs(n, k):
@@ -299,7 +302,7 @@ def _apery_listing(n: int, k: int, coded: bool = False) -> tuple[int, list, list
         values, codes = [values[i] for i in order], [flat[i] for i in order]
     else:
         values.sort()
-    s0 = generator_at(n, k, 0)
+    s0 = a - b
     if len(values) != s0 or not all(map(lt, values, values[1:])):
         raise AssertionError(f"closed Apery set for ({n},{k}) has {len(values)} values, "
                              f"expected {s0}")
@@ -364,7 +367,7 @@ def genus_closed(n: int, k: int) -> int:
     The mask tail << j is worth 2A*2^j*tail - B*popcount(tail), so a run
     (j, count) sums to A*2^j*count*(count-1) - B*(popcount sum below count)
     plus count*2*s_j when j >= 1.  Each of the m runs costs a few
-    big-integer operations on m-bit numbers.
+    big-integer operations on m-bit numbers and one :func:`_popcount_sum`.
     """
     a, b = _affine(n, k)
     total = 0

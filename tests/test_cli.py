@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -61,9 +63,12 @@ class TestInfo:
 
     def test_genus_forced_over_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("GTSG_S0_CAP", "100")
-        code, out, _ = run(capsys, "info", "--n", "5", "--k", "3", "--force")
+        code, out, _ = run(capsys, "info", "--n", "5", "--k", "3")
+        assert "genus = (skipped" in out
+        monkeypatch.setenv("GTSG_S0_CAP", "281")     # s0 of GT(5, 3)
+        code, out, _ = run(capsys, "info", "--n", "5", "--k", "3")
         assert code == 0
-        assert "genus = " in out and "skipped" not in out
+        assert out == EXACT_STDOUT[("info", "--n", "5", "--k", "3")]["text"]
 
 
 class TestApery:
@@ -112,7 +117,12 @@ class TestApery:
 
     def test_force_overrides_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("GTSG_S0_CAP", "10")
-        code, out, _ = run(capsys, "apery", "--n", "2", "--k", "2", "--force")
+        code, out, err = run(capsys, "apery", "--n", "2", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == ("gtsg: error: s0 = 17 exceeds the enumeration cap 10; "
+                       "raise GTSG_S0_CAP to lift it\n")
+        monkeypatch.setenv("GTSG_S0_CAP", "17")
+        code, out, _ = run(capsys, "apery", "--n", "2", "--k", "2")
         assert code == 0
         assert len(out.splitlines()) == 17
 
@@ -251,8 +261,10 @@ class TestOracleCap:
         code, out, err = run(capsys, "oracle", "--gens", "300,301", "frobenius")
         assert code == 2
         assert len(err.splitlines()) == 1 and "exceeds" in err
-        code, out, _ = run(capsys, "oracle", "--gens", "300,301", "frobenius",
-                           "--force")
+        assert err == ("gtsg: error: modulus = 300 exceeds the enumeration cap 100; "
+                       "raise GTSG_S0_CAP to lift it\n")
+        monkeypatch.setenv("GTSG_S0_CAP", "300")
+        code, out, _ = run(capsys, "oracle", "--gens", "300,301", "frobenius")
         assert code == 0
         assert out == "89699\n"  # 300*301 - 300 - 301
 
@@ -355,6 +367,22 @@ class TestVerify:
         assert "genus: closed=genus division inexact" in bad[0]
         assert lines[-1] == f"{len(points)} points, 1 mismatched"
 
+    def test_self_check_survives_python_O(self):
+        # python -O strips assert statements; the closed forms' self-checks
+        # raise AssertionError themselves, so a failed one is still a mismatch
+        script = (
+            "from gtsg import thabit, verify\n"
+            "assert False, 'not running under -O'\n"
+            "thabit.coeff_solve = lambda target, length: None\n"
+            "for m in verify.verify_point(1, 1).mismatches:\n"
+            "    print(m.field, m.closed_value, sep=': ')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "frobenius: no prefix of length 0 solves P = 0\n"
+
 
 class TestUsageErrors:
     def test_bad_k(self, capsys):
@@ -378,10 +406,17 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", err_line)
 
-    def test_frobenius_has_no_force(self, capsys):
-        # the closed form never enumerates, so there is no cap to lift
+    @pytest.mark.parametrize("argv", [
+        ["info", "--n", "5", "--k", "3"],
+        ["apery", "--n", "5", "--k", "3"],
+        ["frobenius", "--n", "5", "--k", "3"],
+        ["oracle", "frobenius", "--gens", "7,11"],
+        ["verify", "--s0-max", "30"],
+    ], ids=lambda argv: argv[0])
+    def test_frobenius_has_no_force(self, capsys, argv):
+        # GTSG_S0_CAP is the one way to lift the enumeration cap
         with pytest.raises(SystemExit) as exc:
-            cli.main(["frobenius", "--n", "5", "--k", "3", "--force"])
+            cli.main([*argv, "--force"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -430,7 +465,7 @@ class TestVerifyUsageErrors:
         code, out, err = run(capsys, "verify", "--s0-max", "1000")
         assert (code, out) == (2, "")
         assert err == ("gtsg: error: s0-max = 1000 exceeds the enumeration cap 100; "
-                       "raise GTSG_S0_CAP to sweep anyway\n")
+                       "raise GTSG_S0_CAP to lift it\n")
 
     def test_s0_max_at_the_cap_runs(self, capsys, monkeypatch):
         monkeypatch.setenv("GTSG_S0_CAP", "1000")
@@ -500,7 +535,7 @@ EXACT_STDOUT = {
                  'case = KLT_N\n'
                  'max_apery = 93386641873154605000\n'
                  'F = 93386641863490928591\n'
-                 'genus = (skipped: s0 exceeds enumeration cap; use --force)\n'),
+                 'genus = (skipped: s0 exceeds enumeration cap; raise GTSG_S0_CAP)\n'),
         'json': ('{"case": "KLT_N", "delta": "3", "e": "34", "frobenius": '
                  '"93386641863490928591", "generators": ["9663676409", '
                  '"19327352825", "38654705657", "77309411321", '

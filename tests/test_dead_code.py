@@ -71,3 +71,13 @@ def test_every_import_is_used():
                    and getattr(node, "module", None) != "__future__"
                    for name in bound_names(node) if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_assert_statement():
+    # python -O strips assert statements, and with them a self-check; the
+    # package raises AssertionError itself instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"

@@ -37,6 +37,11 @@ class TestGenerators:
         assert generator_at(0, 3, 0) == 2
         assert generator_at(3, 2, 5) == 1277
         assert generator_at(5, 3, 0) == 281
+        for n in range(31):
+            for k in range(1, 31):
+                for i in range(31):
+                    # the README's s_i = (2^k + 1) * 2^(n + i) - (2^k - 1)
+                    assert generator_at(n, k, i) == (2**k + 1) * 2**(n + i) - (2**k - 1)
 
     def test_minimal_sets(self):
         assert minimal_generating_set(1, 3).gens == (11, 29, 65, 137)
