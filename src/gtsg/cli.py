@@ -11,14 +11,13 @@ Each subcommand computes its result and hands one builder per format to
 ``_write``, which runs only the builder of ``--format`` and writes stdout
 once.  Exit codes: 0 success / all match, 1 verification mismatch, 2 usage
 or input error or any other failure.  JSON output serializes every integer
-as a decimal string so consumers never lose precision.
+as a decimal string so consumers never lose precision.  CSV output is
+written by ``_csv_text`` in the default dialect of Python's csv module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -60,21 +59,49 @@ def _jsonify(obj):
     return obj
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as the text ``csv.writer(buf).writerows(rows)`` would write.
+
+    The default (excel) dialect: None is an empty cell, any other value is
+    its ``str()``; a cell holding ``,``, ``"``, CR or LF is quoted with its
+    ``"`` doubled, a row of one empty cell is written ``""``, and every row
+    ends in ``"\r\n"``.  The cells and separators go into one flat list and
+    are joined once, so a large cell is copied once.
+    """
+    out = []
+    push = out.append
+    for row in rows:
+        start = len(out)
+        for value in row:
+            cell = "" if value is None else str(value)
+            if '"' in cell:
+                cell = '"' + cell.replace('"', '""') + '"'
+            elif "," in cell or "\n" in cell or "\r" in cell:
+                cell = '"' + cell + '"'
+            push(cell)
+            push(",")
+        if len(out) == start:
+            push("\r\n")
+        else:
+            if len(out) == start + 2 and not out[start]:
+                out[start] = '""'
+            out[-1] = "\r\n"    # in place of the row's last ","
+    return "".join(out)
+
+
 def _write(fmt: str, **builders) -> None:
     """Render a result in ``fmt`` and write it to stdout in one call.
 
     ``builders`` maps each format to a function of no arguments, and only
     the one for ``fmt`` runs: ``json`` returns an object, dumped with sorted
-    keys; ``csv`` returns rows for Python's default csv dialect; ``text``
-    returns the text itself.
+    keys; ``csv`` returns rows, written by ``_csv_text``; ``text`` returns
+    the text itself.
     """
     build = builders[fmt]
     if fmt == "json":
         out = json.dumps(build(), sort_keys=True) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf).writerows(build())
-        out = buf.getvalue()
+        out = _csv_text(build())
     else:
         out = build()
     sys.stdout.write(out)

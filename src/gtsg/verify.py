@@ -9,7 +9,6 @@ oracle's minimal-generator reduction.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import thabit
@@ -127,6 +126,9 @@ def verify_grid(n_max: int | None = None, k_max: int | None = None,
         raise ValueError("the grid has no points; raise --s0-max or the n/k limits")
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, not at the top: it loads multiprocessing, which
+        # every process that imports gtsg would otherwise pay for
+        from concurrent.futures import ProcessPoolExecutor
         ns, ks = zip(*points)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify_point, ns, ks, chunksize=4))

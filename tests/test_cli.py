@@ -1,5 +1,6 @@
 """End-to-end tests for the gtsg command line, driven through main()."""
 
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spec_reference
 from gtsg import cli, thabit, verify
@@ -337,7 +340,8 @@ class TestVerify:
 
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        # verify imports the pool class inside verify_grid, from this module
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         assert len(verify.grid_points(None, None, 300)) == 35
         _, serial, _ = run(capsys, "verify", "--s0-max", "300")
@@ -345,7 +349,8 @@ class TestVerify:
         assert (code, out) == (0, serial)
         assert made == ([] if workers is None else [workers])
 
-    def test_failed_self_check_is_a_mismatch(self, capsys, monkeypatch):
+    @staticmethod
+    def short_at_1_1(monkeypatch):
         # one Apery value short at (1,1): apery_set_closed fails its size
         # check and genus_closed its exact division, both AssertionError
         runs = thabit._apery_runs
@@ -354,6 +359,9 @@ class TestVerify:
             (j, count), *rest = runs(n, k)
             return [(j, count - 1), *rest] if (n, k) == (1, 1) else [(j, count), *rest]
         monkeypatch.setattr(thabit, "_apery_runs", short)
+
+    def test_failed_self_check_is_a_mismatch(self, capsys, monkeypatch):
+        self.short_at_1_1(monkeypatch)
         code, out, err = run(capsys, "verify", "--n-max", "1", "--k-max", "2",
                              "--s0-max", "1000", "--jobs", "1")
         assert (code, err) == (1, "")
@@ -366,6 +374,25 @@ class TestVerify:
         assert "apery_set: closed=closed Apery set for (1,1) has 4 values, expected 5" in bad[0]
         assert "genus: closed=genus division inexact" in bad[0]
         assert lines[-1] == f"{len(points)} points, 1 mismatched"
+
+    def test_failed_self_check_csv_is_quoted(self, capsys, monkeypatch):
+        # the mismatch detail holds commas, so its cell must be quoted
+        self.short_at_1_1(monkeypatch)
+        code, out, err = run(capsys, "verify", "--n-max", "1", "--k-max", "2",
+                             "--s0-max", "1000", "--jobs", "1", "--format", "csv")
+        assert (code, err) == (1, "")
+        report = verify.verify_grid(1, 2, 1000)
+        rows = [("n", "k", "s0", "status", "detail")] + [
+            (p.n, p.k, p.s0, "match" if p.ok else "mismatch",
+             "; ".join(f"{m.field}: closed={m.closed_value} oracle={m.oracle_value}"
+                       for m in p.mismatches))
+            for p in report.points]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        assert out == buf.getvalue()
+        assert '"apery_set: closed=closed Apery set for (1,1) has 4 values, expected 5' in out
+        parsed = list(csv.reader(io.StringIO(out, newline="")))
+        assert [len(row) for row in parsed] == [5] * (1 + len(report.points))
 
     def test_self_check_survives_python_O(self):
         # python -O strips assert statements; the closed forms' self-checks
@@ -421,6 +448,74 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --force" in captured.err
+
+
+def _cell_values():
+    text = st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "\u00e9", "a", "0"],
+                   max_size=6)
+    return st.none() | st.integers() | st.booleans() | text
+
+
+class TestCsvText:
+    """cli._csv_text writes what csv.writer's default dialect writes."""
+
+    @staticmethod
+    def reference(rows):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.lists(_cell_values(), max_size=4),
+                              st.just([]), st.just([""]), st.just([None])),
+                    max_size=5))
+    def test_matches_csv_writer(self, rows):
+        assert cli._csv_text(rows) == self.reference(rows)
+
+    def test_big_integers_and_generators(self):
+        rows = [("big", "gens"), (7 ** 6000, " ".join(map(str, range(2000))))]
+        with whole_ints():
+            assert cli._csv_text(rows) == self.reference(rows)
+            assert cli._csv_text(iter(rows)) == self.reference(rows)
+
+
+class TestProcessFootprint:
+    """Costs that only show in a fresh process."""
+
+    def test_import_loads_no_pool_or_csv(self):
+        script = ("import sys, gtsg.cli\n"
+                  "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'csv')\n"
+                  "             if m in sys.modules))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+    @staticmethod
+    def peak_rss_kb(*argv):
+        # RUSAGE_SELF of the child itself: RUSAGE_CHILDREN would be the
+        # largest of every child this test process has run
+        script = ("import resource, sys\n"
+                  "from gtsg import cli\n"
+                  f"code = cli.main({list(argv)!r})\n"
+                  "sys.stdout.flush()\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
+                  "      file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("GTSG_S0_CAP", None)    # the default cap skips info's genus
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+        code, peak = done.stderr.split()
+        assert (done.returncode, code) == (0, "0")
+        return int(peak)
+
+    def test_info_csv_peaks_no_higher_than_text(self):
+        # 16.3 MB of stdout, nearly all of it the one generators cell
+        argv = ("info", "--n", "6000", "--k", "2", "--format")
+        text = self.peak_rss_kb(*argv, "text")
+        table = self.peak_rss_kb(*argv, "csv")
+        assert table <= 1.10 * text, (table, text)
 
 
 class TestParserBuiltOnce:
