@@ -133,8 +133,8 @@ def cmd_info(args) -> int:
         "frobenius": max_apery - s0,
         "genus": None,
     }
-    # the genus's popcount sums cost far more than the rest of info once
-    # n + k is large (up to seconds at n + k = 4000), so the s0 cap guards it
+    # the genus is cheap at any size, but info's output above s0 = 10^6
+    # stays as it is until an output budget replaces the cap
     if s0 <= _apery_cap():
         data["genus"] = thabit.genus_closed(n, k)
 
@@ -142,14 +142,14 @@ def cmd_info(args) -> int:
         genus = data["genus"]
         if genus is None:
             genus = "(skipped: s0 exceeds enumeration cap; raise GTSG_S0_CAP)"
-        return (f"GT({n},{k})\n"
-                f"generators = {_spaced(gens)}\n"
-                f"delta = {data['delta']}\n"
+        rest = (f"\ndelta = {data['delta']}\n"
                 f"e = {data['e']}\n"
                 f"case = {data['case']}\n"
                 f"max_apery = {max_apery}\n"
                 f"F = {data['frobenius']}\n"
                 f"genus = {genus}\n")
+        # one join, so the generators are copied into the text only once
+        return " ".join([f"GT({n},{k})\ngenerators =", *gens[:-1], gens[-1] + rest])
 
     _write(args.format, json=lambda: _jsonify(data), csv=lambda: _record_rows(data), text=text)
     return 0

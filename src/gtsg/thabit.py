@@ -12,9 +12,8 @@ Apery element is the rule's top pattern plus one skew-binary prefix,
 which a greedy conversion takes a run of ones at a time, so it and the
 Frobenius number take O(m) big-integer operations, m = n + delta, and
 never recurse.  The genus applies Selmer's formula to the Apery sum,
-taken run by run in closed form without listing the values; a popcount
-sum per run, whose recursion grows with the bits of the run's count, makes
-it the dearest closed form: 0.2 s at GT(4000, 3), 3-4 s at GT(3000, 1000).
+taken in one pass over the runs with chained popcount sums: O(m)
+big-integer steps, no recursion and no listing of the values.
 
 :func:`generator_decimals` writes the generators in base 10 for output.
 It steps s_(i+1) = 2*s_i + B in exact Decimal arithmetic, whose
@@ -344,39 +343,38 @@ def apery_coeffs(n: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
                     for c in codes]
 
 
-def _popcount_sum(count: int) -> int:
-    """sum of popcount(x) over 0 <= x < count.
-
-    Split count = hi*2^h + lo at half its bit length: the x below hi*2^h
-    are q*2^h + r for q < hi and r < 2^h, whose popcounts sum to
-    2^h*S(hi) + hi*h*2^(h-1), and the x from hi*2^h on add
-    lo*popcount(hi) + S(lo).
-    """
-    if count < 64:
-        return sum(x.bit_count() for x in range(count))
-    h = count.bit_length() >> 1
-    hi, lo = count >> h, count & ((1 << h) - 1)
-    return ((_popcount_sum(hi) << h) + (hi * h << h >> 1)
-            + lo * hi.bit_count() + _popcount_sum(lo))
+def _popcount_step(pops: int, prev: int, count: int) -> int:
+    """S(count) from pops = S(prev), S(c) the popcount sum over 0 <= x < c:
+    S(2*prev) = 2*S(prev) + prev, as the x below 2*prev are 2y and 2y + 1
+    for y < prev, and the x from 2*prev up to count are added, or those
+    from count up to 2*prev taken off, one ``bit_count`` each."""
+    pops = 2 * pops + prev
+    if count >= 2 * prev:
+        return pops + sum(x.bit_count() for x in range(2 * prev, count))
+    return pops - sum(x.bit_count() for x in range(count, 2 * prev))
 
 
 def genus_closed(n: int, k: int) -> int:
     """g(GT(n,k)) = (sum of Ap(GT(n,k), s_0))/s_0 - (s_0-1)/2 (Selmer), the
-    sum taken run by run; the division must be exact.
+    sum taken in one pass over the runs; the division must be exact.
 
     The mask tail << j is worth 2A*2^j*tail - B*popcount(tail), so a run
-    (j, count) sums to A*2^j*count*(count-1) - B*(popcount sum below count)
-    plus count*2*s_j when j >= 1.  Each of the m runs costs a few
-    big-integer operations on m-bit numbers and one :func:`_popcount_sum`.
+    (j, count) sums to A*2^j*(count*(count-1) + c) - B*(S(count) + c), with
+    c = 2*count for the 2 at j when j >= 1 and S(count) its popcount sum.
+    From the top run down, count_j = 2*count_(j+1) + d with d in 0..2 on
+    every point tried, so :func:`_popcount_step` chains the S, the A terms
+    gather by Horner and the B terms by a sum: O(m) big-integer steps.
     """
     a, b = _affine(n, k)
-    total = 0
-    for j, count in _apery_runs(n, k):
-        total += (a << j) * count * (count - 1) - b * _popcount_sum(count)
-        if j:
-            total += 2 * count * ((a << j) - b)
+    x = y = prev = pops = 0
+    for j, count in reversed(_apery_runs(n, k)):
+        pops = _popcount_step(pops, prev, count)
+        twos = 2 * count if j else 0
+        x = 2 * x + count * (count - 1) + twos
+        y += pops + twos
+        prev = count
     s0 = a - b
-    q, r = divmod(2 * total - s0 * (s0 - 1), 2 * s0)
+    q, r = divmod(2 * (a * x - b * y) - s0 * (s0 - 1), 2 * s0)
     if r != 0:
         raise AssertionError("genus division inexact")
     return q

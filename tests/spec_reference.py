@@ -23,7 +23,9 @@ number.
 
 The Apery runs are kept as one loop per case, the form ``gtsg.thabit``
 had before its one run rule, with the greedy fit count that visits every
-position and the popcount sum taken bit by bit.
+position and the popcount sum taken bit by bit.  The genus is also kept
+as ``gtsg.thabit`` took it before it chained the runs' popcount sums:
+each run summed on its own, with a popcount sum that halves its count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import heapq
 from itertools import product
 from typing import Iterator
 
-from gtsg.thabit import Case, case_of, coeff_solve, delta, generator_at
+from gtsg.thabit import Case, _apery_runs, case_of, coeff_solve, delta, generator_at
 
 
 def coeff_value(n: int, k: int, t) -> int:
@@ -340,3 +342,41 @@ def popcount_sum_by_bits(count: int) -> int:
             total += (ones << b) + (b << b >> 1)
             ones += 1
     return total
+
+
+def _popcount_sum(count: int) -> int:
+    """sum of popcount(x) over 0 <= x < count.
+
+    Split count = hi*2^h + lo at half its bit length: the x below hi*2^h
+    are q*2^h + r for q < hi and r < 2^h, whose popcounts sum to
+    2^h*S(hi) + hi*h*2^(h-1), and the x from hi*2^h on add
+    lo*popcount(hi) + S(lo).
+    """
+    if count < 64:
+        return sum(x.bit_count() for x in range(count))
+    h = count.bit_length() >> 1
+    hi, lo = count >> h, count & ((1 << h) - 1)
+    return ((_popcount_sum(hi) << h) + (hi * h << h >> 1)
+            + lo * hi.bit_count() + _popcount_sum(lo))
+
+
+def genus_per_run(n: int, k: int) -> int:
+    """g(GT(n,k)) = (sum of Ap(GT(n,k), s_0))/s_0 - (s_0-1)/2 (Selmer), the
+    sum taken run by run; the division must be exact.
+
+    The mask tail << j is worth 2A*2^j*tail - B*popcount(tail), so a run
+    (j, count) sums to A*2^j*count*(count-1) - B*(popcount sum below count)
+    plus count*2*s_j when j >= 1.
+    """
+    b = (1 << k) - 1
+    a = generator_at(n, k, 0) + b
+    total = 0
+    for j, count in _apery_runs(n, k):
+        total += (a << j) * count * (count - 1) - b * _popcount_sum(count)
+        if j:
+            total += 2 * count * ((a << j) - b)
+    s0 = a - b
+    q, r = divmod(2 * total - s0 * (s0 - 1), 2 * s0)
+    if r != 0:
+        raise AssertionError("genus division inexact")
+    return q

@@ -4,7 +4,8 @@ A module-level function or class, or a method of such a class, must be
 named somewhere in ``src/gtsg`` (by a Name or an Attribute node), be
 exported in ``gtsg.__all__`` or be the ``[project.scripts]`` entry point.
 Code that only the tests need lives in ``tests/spec_reference.py``.
-Every name a module other than ``__init__`` imports must be used in it.
+Every name a module other than ``__init__`` imports must be used in it,
+and no function of ``thabit`` calls itself.
 """
 
 import ast
@@ -81,3 +82,16 @@ def test_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_recursion_in_the_closed_forms():
+    # the closed forms' RecursionError faults came from functions that call
+    # themselves; every closed form is a loop
+    tree = ast.parse((SRC / "thabit.py").read_text())
+    found = [f"thabit.py:{node.lineno} {node.name}"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                     and call.func.id == node.name
+                     for call in ast.walk(node))]
+    assert not found, f"functions that call themselves: {found}"

@@ -347,6 +347,40 @@ class TestGenusClosed:
         assert S.gens == (5, 11, 23)
         assert genus_closed(1, 1) == S.genus()
 
+    def test_equal_to_the_per_run_sum(self):
+        for n in range(0, 61):
+            for k in range(1, 61):
+                assert genus_closed(n, k) == spec_reference.genus_per_run(n, k), (n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 300))
+    @example(300, 1)
+    @example(300, 299)
+    @example(300, 300)
+    @example(299, 300)
+    @example(0, 300)
+    def test_equal_to_the_per_run_sum_up_to_300(self, n, k):
+        assert genus_closed(n, k) == spec_reference.genus_per_run(n, k)
+
+    def test_popcount_step(self):
+        by_bits = spec_reference.popcount_sum_by_bits
+        pairs = [
+            # count - 2*prev < 0
+            (3, 0), (5, 7), (100, 150), (2**70 + 3, 2**71 - 5),
+            # count - 2*prev in 0..2
+            (1, 2), (5, 10), (5, 11), (5, 12), (2**64 - 1, 2**65),
+            # count - 2*prev > 2
+            (0, 5), (5, 20), (3, 1000), (2**80, 2**81 + 500),
+            # prev = 0 and count = 0
+            (0, 0),
+            # prev up to 300 bits
+            (2**299 + 12345, 2**300 + 24687), (2**300 - 1, 2**301 - 7),
+            (2**300 - 1, 2**301 + 40), (3**189, 2 * 3**189 + 1),
+        ]
+        for prev, count in pairs:
+            assert thabit._popcount_step(by_bits(prev), prev, count) == by_bits(count), \
+                (prev, count)
+
 
 class TestAperyRuns:
     """The one run rule against the per-case loops it replaced."""
@@ -387,16 +421,17 @@ class TestAperyRuns:
 
     def test_popcount_sum_small_counts(self):
         for c in range(3000):
-            assert thabit._popcount_sum(c) == sum(bin(x).count("1") for x in range(c)), c
+            assert spec_reference._popcount_sum(c) == sum(bin(x).count("1") for x in range(c)), c
 
     def test_popcount_sum_random_counts(self):
         rng = random.Random(13)
         counts = [rng.getrandbits(rng.randint(1, 400)) for _ in range(2000)]
         counts += [2**b + d for b in range(400) for d in (-1, 0, 1)]
         for c in counts:
-            assert thabit._popcount_sum(c) == spec_reference.popcount_sum_by_bits(c), c
+            assert spec_reference._popcount_sum(c) == spec_reference.popcount_sum_by_bits(c), c
 
-    @pytest.mark.parametrize("n,k", [(4000, 3), (3, 4000), (2000, 2000)])
+    @pytest.mark.parametrize("n,k", [(4000, 3), (3, 4000), (2000, 2000), (1000, 2000),
+                                     (3000, 1000)])
     def test_genus_runtime_budget_at_n_plus_k_4000(self, n, k):
         start = time.perf_counter()
         genus = genus_closed(n, k)          # raises unless the division is exact
