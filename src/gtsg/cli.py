@@ -8,9 +8,9 @@ Subcommands:
   verify     closed-form vs oracle sweep over a parameter grid
 
 Each subcommand computes its result and hands one builder per format to
-``_write``, which runs only the builder of ``--format`` and writes stdout
-once.  Exit codes: 0 success / all match, 1 verification mismatch, 2 usage
-or input error or any other failure.  JSON output serializes every integer
+``_write``, which runs only the builder of ``--format`` and writes its
+text to stdout.  Exit codes: 0 success / all match, 1 verification
+mismatch, 2 usage or input error or any other failure.  JSON output serializes every integer
 as a decimal string so consumers never lose precision.  CSV output is
 written by ``_csv_text`` in the default dialect of Python's csv module.
 """
@@ -24,6 +24,9 @@ import sys
 
 from . import thabit, verify
 from .oracle import SemigroupError, make_semigroup
+# by name: perfbench's tracer swaps cli.thabit for a namespace of its public
+# functions only
+from .thabit import _apery_decoded
 
 DEFAULT_APERY_CAP = 1_000_000
 
@@ -60,19 +63,32 @@ def _jsonify(obj):
 
 
 def _csv_text(rows) -> str:
-    """``rows`` as the text ``csv.writer(buf).writerows(rows)`` would write.
+    """``rows`` as the text ``csv.writer(buf).writerows(rows)`` would write,
+    a list cell written as its items' ``str()`` joined by spaces.
 
     The default (excel) dialect: None is an empty cell, any other value is
     its ``str()``; a cell holding ``,``, ``"``, CR or LF is quoted with its
     ``"`` doubled, a row of one empty cell is written ``""``, and every row
     ends in ``"\r\n"``.  The cells and separators go into one flat list and
-    are joined once, so a large cell is copied once.
+    are joined once, so a large cell is copied once.  A list cell whose
+    items hold none of those characters nor a space needs no quoting, so
+    its items go into that list as they are, with " " between them, and
+    the cell is never joined on its own.
     """
     out = []
     push = out.append
     for row in rows:
         start = len(out)
         for value in row:
+            if isinstance(value, list):
+                items = list(map(str, value))
+                if items and not any(c in item for item in items for c in ',"\r\n '):
+                    for item in items:
+                        push(item)
+                        push(" ")
+                    out[-1] = ","       # in place of the cell's last " "
+                    continue
+                value = " ".join(items)
             cell = "" if value is None else str(value)
             if '"' in cell:
                 cell = '"' + cell.replace('"', '""') + '"'
@@ -89,13 +105,18 @@ def _csv_text(rows) -> str:
     return "".join(out)
 
 
+# _write hands stdout at most this many characters at a time
+_WRITE_SLICE = 1 << 20
+
+
 def _write(fmt: str, **builders) -> None:
-    """Render a result in ``fmt`` and write it to stdout in one call.
+    """Render a result in ``fmt`` and write it to stdout.
 
     ``builders`` maps each format to a function of no arguments, and only
     the one for ``fmt`` runs: ``json`` returns an object, dumped with sorted
     keys; ``csv`` returns rows, written by ``_csv_text``; ``text`` returns
-    the text itself.
+    the text itself.  The text goes out in slices of at most 1 MiB, so the
+    stream never encodes a whole large output into one more copy.
     """
     build = builders[fmt]
     if fmt == "json":
@@ -104,16 +125,23 @@ def _write(fmt: str, **builders) -> None:
         out = _csv_text(build())
     else:
         out = build()
-    sys.stdout.write(out)
+    write = sys.stdout.write
+    for i in range(0, len(out), _WRITE_SLICE):
+        write(out[i:i + _WRITE_SLICE])
 
 
 def _spaced(values) -> str:
     return " ".join(map(str, values))
 
 
+def _digit_list(digits) -> list[str]:
+    return list(map(str, digits))
+
+
 def _record_rows(data: dict) -> list:
-    """A record as csv rows: its keys, then its values, lists space-separated."""
-    return [list(data), [_spaced(v) if isinstance(v, list) else v for v in data.values()]]
+    """A record as csv rows: its keys, then its values (``_csv_text`` writes
+    a list space-separated)."""
+    return [list(data), list(data.values())]
 
 
 def cmd_info(args) -> int:
@@ -169,32 +197,31 @@ def cmd_apery(args) -> int:
     _check_cap("s0", s0)
 
     # one thabit listing a command, made inside the builder so that no
-    # list outlives it: the values, and the coefficient lines if printed
-    def listing():
+    # list outlives it: the values, and the coefficient sequences if
+    # printed, decoded straight into the builder's form (``form`` and
+    # ``sep`` as _apery_decoded takes them)
+    def listing(form, sep):
         if not (args.with_coeffs or args.format == "csv"):
             return thabit.apery_set_closed(n, k), None
-        values, tuples = thabit.apery_coeffs(n, k)
-        line = " ".join(["%d"] * len(tuples[0]))   # one format call a sequence
-        return values, [line % t for t in tuples]
+        return _apery_decoded(n, k, form, sep)
 
     def record():
-        # decimal strings in bulk, not through _jsonify: splitting the
-        # coefficient lines reuses CPython's cached one-character strings
-        values, coeffs = listing()
+        # decimal strings in bulk, not through _jsonify
+        values, coeffs = listing(_digit_list, [])
         data = {"n": str(n), "k": str(k), "s0": str(s0), "apery": list(map(str, values))}
         if coeffs is not None:
-            data["coeffs"] = [c.split(" ") for c in coeffs]
+            data["coeffs"] = coeffs
         return data
 
     def rows():
-        values, coeffs = listing()
+        values, coeffs = listing(_spaced, " ")
         yield ("residue", "value", "coeffs")
         yield from zip((v % s0 for v in values), values, coeffs)
 
     def text():
-        values, coeffs = listing()
+        values, coeffs = listing(_spaced, " ")
         if coeffs is None:
-            return "".join(f"{v}\n" for v in values)
+            return "\n".join(map(str, values)) + "\n"
         return "".join(f"{v} {c}\n" for v, c in zip(values, coeffs))
 
     _write(args.format, json=record, csv=rows, text=text)

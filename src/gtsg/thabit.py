@@ -30,9 +30,12 @@ set: a sequence is the bitmask of its 1s and the position of its single 2,
 the kept masks of each position form one run, and the values are read off
 a subset-sum table, sorted and checked once.  :func:`apery_set_closed`
 returns the values and :func:`apery_coeffs` ``(values, coeffs)``, the
-sequences decoded in the same order.  The spec-literal form, every valid
-tuple filtered by the per-case rules, is kept in the test suite as the
-reference for this one.
+sequences decoded in the same order.  :func:`_apery_decoded` decodes the
+codes by two half tables, rendered once each in the caller's form (tuples
+for :func:`apery_coeffs`; the CLI's spaced text or lists of digit strings),
+so a value's sequence is two lookups and one ``+``.  The spec-literal
+form, every valid tuple filtered by the per-case rules, is kept in the
+test suite as the reference for this one.
 """
 
 from __future__ import annotations
@@ -321,26 +324,42 @@ def _bit_tuples(length: int) -> list[tuple[int, ...]]:
     return table
 
 
-def apery_coeffs(n: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Ap(GT(n,k), s_0) as :func:`apery_set_closed` returns it, and in the
-    same order each value's coefficient sequence (t_1, ..., t_m)."""
+def _apery_decoded(n: int, k: int, form, sep) -> tuple[list[int], list]:
+    """Ap(GT(n,k), s_0) ascending and, in the same order, each value's
+    coefficient sequence (t_1, ..., t_m) rendered as ``form(low) + sep +
+    form(high)``, the low half t_1 .. t_h and the high half the rest.
+
+    ``form`` maps a tuple of digits to the caller's form and runs once a
+    half-table entry, never once a value; ``sep`` is left out when the
+    low half is empty (m = 1).  Each value is two lookups and one ``+``.
+    """
     m, values, codes = _apery_listing(n, k, coded=True)
-    # decode each half of the mask by table; a table per position of the 2
-    # puts the 2 into the half that holds it
+    # decode each half of the mask by table; a table per position j of the
+    # 2 puts the 2 into the half that holds it
     h = m // 2
     low_mask = (1 << h) - 1
     full = (1 << m) - 1
-    low, high = _bit_tuples(h), _bit_tuples(m - h)
-    lows, highs = [low], [high]
-    for j in range(1, m + 1):
-        if j <= h:
-            lows.append([t[: j - 1] + (2,) + t[j:] for t in low])
-            highs.append(high)
-        else:
-            lows.append(low)
-            highs.append([t[: j - 1 - h] + (2,) + t[j - h:] for t in high])
+
+    def tables(half, offset, render):
+        # per j = 0 .. m: the half rendered plain, or with the 2 at j
+        plain = [render(t) for t in half]
+        out = []
+        for j in range(m + 1):
+            i = j - 1 - offset
+            out.append([render(t[:i] + (2,) + t[i + 1:]) for t in half]
+                       if 0 <= i < len(half[0]) else plain)
+        return out
+
+    lows = tables(_bit_tuples(h), 0, lambda t: form(t) + sep if t else form(t))
+    highs = tables(_bit_tuples(m - h), h, form)
     return values, [lows[c >> m][c & low_mask] + highs[c >> m][(c & full) >> h]
                     for c in codes]
+
+
+def apery_coeffs(n: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Ap(GT(n,k), s_0) as :func:`apery_set_closed` returns it, and in the
+    same order each value's coefficient sequence (t_1, ..., t_m)."""
+    return _apery_decoded(n, k, tuple, ())
 
 
 def _popcount_step(pops: int, prev: int, count: int) -> int:

@@ -3,7 +3,8 @@
 For one point of every case and every format, with and without
 coefficients, the command must print exactly the bytes rendered from the
 tuple reference of ``spec_reference``, sorted by value, with values from
-``coeff_value``.
+``coeff_value``.  At the edges of the CLI's table decoder it must print
+what ``apery_coeffs``'s tuples render to.
 """
 
 import csv
@@ -35,8 +36,11 @@ POINTS = {
 }
 
 
-def render(n, k, fmt, with_coeffs):
-    rows = sorted_apery_rows(n, k)
+def render(n, k, fmt, with_coeffs, rows=None):
+    """The expected stdout, rendered from (value, tuple) rows by value; the
+    spec-literal reference's rows unless ``rows`` is given."""
+    if rows is None:
+        rows = sorted_apery_rows(n, k)
     s0 = generator_at(n, k, 0)
     if fmt == "json":
         data = {"n": str(n), "k": str(k), "s0": str(s0),
@@ -73,8 +77,41 @@ def test_listing_matches_reference(capsys, case, fmt, with_coeffs):
     assert capsys.readouterr().out == render(n, k, fmt, with_coeffs)
 
 
+# Edges of the half-table decoder: m = 1, whose low half is empty; the
+# exception (1, 2); the 2 at j = h and at j = h + 1, the first position of
+# each half (h = m // 2), for an even and an odd m; and GT(8, 8), m = 16.
+DECODER_EDGES = [(0, 3), (0, 1), (1, 2), (2, 3), (2, 4), (8, 8)]
+
+
+def test_decoder_edges_are_what_they_claim():
+    m = {(n, k): n + delta(n, k) for n, k in DECODER_EDGES}
+    assert (m[0, 3], m[0, 1], m[2, 3] % 2, m[2, 4] % 2, m[8, 8]) == (1, 1, 0, 1, 16)
+    for n, k in [(2, 3), (2, 4)]:
+        h = m[n, k] // 2
+        _, coeffs = apery_coeffs(n, k)
+        assert any(t[h - 1] == 2 for t in coeffs) and any(t[h] == 2 for t in coeffs)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in DECODER_EDGES if (n, k) != (8, 8)])
+def test_decoder_edges_match_reference(n, k):
+    rows = sorted_apery_rows(n, k)
+    assert apery_coeffs(n, k) == ([v for v, _ in rows], [t for _, t in rows])
+
+
+@pytest.mark.parametrize("with_coeffs", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("n,k", DECODER_EDGES)
+def test_decoder_edges_print_the_tuples(capsys, n, k, fmt, with_coeffs):
+    argv = ["apery", "--n", str(n), "--k", str(k), "--format", fmt]
+    if with_coeffs:
+        argv.append("--with-coeffs")
+    assert cli.main(argv) == 0
+    rows = list(zip(*apery_coeffs(n, k)))
+    assert capsys.readouterr().out == render(n, k, fmt, with_coeffs, rows)
+
+
 @pytest.mark.parametrize("n,k", [(0, 5), (1, 1), (6, 1), (1, 2), (2, 2), (6, 3),
-                                 (7, 2), (4, 4), (1, 6), (3, 8), (5, 6)])
+                                 (7, 2), (4, 4), (1, 6), (3, 8), (5, 6), (8, 8)])
 def test_coeffs_line_up_with_values(n, k):
     values = apery_set_closed(n, k)
     _, coeffs = apery_coeffs(n, k)

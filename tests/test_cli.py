@@ -478,6 +478,33 @@ class TestCsvText:
             assert cli._csv_text(rows) == self.reference(rows)
             assert cli._csv_text(iter(rows)) == self.reference(rows)
 
+    @classmethod
+    def joined(cls, rows):
+        # csv.writer on the same rows with each list cell joined by spaces
+        return cls.reference([[" ".join(cell) if isinstance(cell, list) else cell
+                               for cell in row] for row in rows])
+
+    @pytest.mark.parametrize("rows", [
+        [[[]]],
+        [["a", [], "b"], [[], []]],
+        [[[""]]],
+        [[["", ""]]],
+        [[["x,y", "z"]], [["say \"hi\"", "z"]]],
+        [[["a\rb"], "c"], [["a\nb", "c"]], [["a b", "c"]], [[" "]]],
+        [["n", ["1", "22", "333"], 4], ["x", ["1"], None]],
+        [["gens", "e"], [[str(7 ** i) for i in range(2000)], 2000]],
+    ], ids=["empty", "empty-among-cells", "one-empty-item", "empty-items",
+            "comma-quote", "cr-lf-space", "plain", "big"])
+    def test_list_cells_match_joined_cells(self, rows):
+        assert cli._csv_text(rows) == self.joined(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_cell_values() | st.lists(st.text(
+        alphabet=[",", '"', "\r", "\n", " ", "a", "0"], max_size=3), max_size=4),
+        max_size=4), max_size=4))
+    def test_list_cells_match_csv_writer(self, rows):
+        assert cli._csv_text(rows) == self.joined(rows)
+
 
 class TestProcessFootprint:
     """Costs that only show in a fresh process."""
@@ -493,14 +520,20 @@ class TestProcessFootprint:
 
     @staticmethod
     def peak_rss_kb(*argv):
-        # RUSAGE_SELF of the child itself: RUSAGE_CHILDREN would be the
-        # largest of every child this test process has run
-        script = ("import resource, sys\n"
+        # VmHWM, the peak of the child's own address space: Linux carries
+        # the peak of the process that forked it into the child's ru_maxrss
+        # across exec, so the child's RUSAGE_SELF reads at least this test
+        # process's peak, and RUSAGE_CHILDREN the largest of every child
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status")
+        script = ("import sys\n"
                   "from gtsg import cli\n"
                   f"code = cli.main({list(argv)!r})\n"
                   "sys.stdout.flush()\n"
-                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
-                  "      file=sys.stderr)\n")
+                  "with open('/proc/self/status') as status:\n"
+                  "    peak = next(line.split()[1] for line in status\n"
+                  "                if line.startswith('VmHWM:'))\n"
+                  "print(code, peak, file=sys.stderr)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         env.pop("GTSG_S0_CAP", None)    # the default cap skips info's genus
         done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -516,6 +549,17 @@ class TestProcessFootprint:
         text = self.peak_rss_kb(*argv, "text")
         table = self.peak_rss_kb(*argv, "csv")
         assert table <= 1.10 * text, (table, text)
+
+    def test_info_text_peak_stays_under_two_and_a_half_outputs(self, capsys, monkeypatch):
+        # the generator strings and the text built from them coexist, but
+        # writing the text must not encode it whole into a third copy
+        argv = ("info", "--n", "6000", "--k", "2", "--format", "text")
+        monkeypatch.delenv("GTSG_S0_CAP", raising=False)
+        assert cli.main(list(argv)) == 0
+        written = len(capsys.readouterr().out.encode())
+        base = self.peak_rss_kb("frobenius", "--n", "5", "--k", "3")
+        peak = self.peak_rss_kb(*argv)
+        assert (peak - base) * 1024 < 2.5 * written, (peak, base, written)
 
 
 class TestParserBuiltOnce:
