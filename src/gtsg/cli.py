@@ -10,17 +10,21 @@ Subcommands:
 Each subcommand computes its result and hands one builder per format to
 ``_write``, which runs only the builder of ``--format`` and writes its
 text to stdout.  Exit codes: 0 success / all match, 1 verification
-mismatch, 2 usage or input error or any other failure.  JSON output serializes every integer
-as a decimal string so consumers never lose precision.  CSV output is
-written by ``_csv_text`` in the default dialect of Python's csv module.
+mismatch, 2 usage or input error or any other failure.  JSON output
+serializes every integer as a decimal string so consumers never lose
+precision; ``_json_text`` writes it byte for byte as the json module's
+``dumps`` with sorted keys would.  CSV output is written by ``_csv_text``
+in the default dialect of Python's csv module.  Both join one flat list
+of pieces once, and take a list of decimal strings or an all-string
+table in C-level joins, with no per-item escaping or quoting.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import thabit, verify
 from .oracle import SemigroupError, make_semigroup
@@ -49,17 +53,95 @@ def _apery_cap() -> int:
     raise ValueError(f"GTSG_S0_CAP must be a non-negative integer, got {env!r}")
 
 
-def _jsonify(obj):
-    """Recursively turn ints into decimal strings for lossless JSON."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {key: _jsonify(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(value) for value in obj]
-    return obj
+class _JsonArrays(list):
+    """A JSON array of arrays, each given as its items' JSON text: the list
+    ``['"0", "1"', '"2"']`` is written ``[["0", "1"], ["2"]]``."""
+
+
+def _push_joined(out: list, items, sep: str) -> None:
+    """Push ``items`` onto ``out`` with ``sep`` between them."""
+    base = len(out)
+    out += [sep] * (2 * len(items) - 1)
+    out[base::2] = items
+
+
+# _digits_only joins this many items at a time
+_DIGIT_CHUNK = 256
+
+
+def _digits_only(items) -> bool:
+    """Whether every str in ``items`` holds only the digits 0-9.
+
+    A joined chunk of items is checked at a time: ``isascii`` of a str is
+    O(1), and deleting 0-9 from its bytes is one pass of a table lookup
+    a byte, where ``str.isdigit`` takes each character's Unicode class.
+    """
+    for i in range(0, len(items), _DIGIT_CHUNK):
+        chunk = "".join(items[i:i + _DIGIT_CHUNK])
+        if not chunk.isascii() or chunk.encode().translate(None, b"0123456789"):
+            return False
+    return True
+
+
+def _push_json(out: list, obj) -> None:
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out += ('"', str(obj), '"')
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            if i:
+                out.append(", ")
+            out += (_json_str(key), ": ")
+            _push_json(out, obj[key])
+        out.append("}")
+    elif type(obj) is _JsonArrays:
+        if obj:
+            out.append("[[")
+            _push_joined(out, obj, "], [")
+            out.append("]]")
+        else:
+            out.append("[]")
+    elif isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            obj, kinds = list(map(str, obj)), {str}
+        if kinds == {str} and _digits_only(obj):
+            # nothing to escape
+            out.append('["')
+            _push_joined(out, obj, '", "')
+            out.append('"]')
+            return
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(", ")
+            _push_json(out, item)
+        out.append("]")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """What the json module's ``dumps(obj, sort_keys=True)`` writes, and
+    "\n", with every int (not bool) a decimal string; dict keys must be str.
+
+    The pieces go into one flat list joined once, so a large string is
+    copied once.  A list of ints or of ASCII decimal strings goes in with
+    ``", "`` quotes between its items and no escaping; any other string
+    goes through ``encode_basestring_ascii``, as ``dumps`` does.
+    """
+    out = []
+    _push_json(out, obj)
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv_text(rows) -> str:
@@ -74,7 +156,24 @@ def _csv_text(rows) -> str:
     items hold none of those characters nor a space needs no quoting, so
     its items go into that list as they are, with " " between them, and
     the cell is never joined on its own.
+
+    A table of ``str`` cells is first joined whole, "," within a row and
+    "\r\n" after each.  That text is the answer when it holds no ``"``,
+    no CR, LF or comma but those the join put in, and no row joined to ""
+    (a row ``("",)`` is written ``""``): then no cell needs quoting.  Any
+    other table goes cell by cell as above.
     """
+    rows = list(map(tuple, rows))
+    try:
+        lines = list(map(",".join, rows))
+    except TypeError:       # a cell that is not a str
+        lines = None
+    if lines and "" not in lines:
+        lines.append("")    # the last row's "\r\n"
+        text = "\r\n".join(lines)
+        if ('"' not in text and text.count("\r") == text.count("\n") == len(rows)
+                and text.count(",") == sum(map(len, rows)) - len(rows)):
+            return text
     out = []
     push = out.append
     for row in rows:
@@ -113,14 +212,14 @@ def _write(fmt: str, **builders) -> None:
     """Render a result in ``fmt`` and write it to stdout.
 
     ``builders`` maps each format to a function of no arguments, and only
-    the one for ``fmt`` runs: ``json`` returns an object, dumped with sorted
-    keys; ``csv`` returns rows, written by ``_csv_text``; ``text`` returns
-    the text itself.  The text goes out in slices of at most 1 MiB, so the
-    stream never encodes a whole large output into one more copy.
+    the one for ``fmt`` runs: ``json`` returns an object, written by
+    ``_json_text``; ``csv`` returns rows, written by ``_csv_text``; ``text``
+    returns the text itself.  The text goes out in slices of at most 1 MiB,
+    so the stream never encodes a whole large output into one more copy.
     """
     build = builders[fmt]
     if fmt == "json":
-        out = json.dumps(build(), sort_keys=True) + "\n"
+        out = _json_text(build())
     elif fmt == "csv":
         out = _csv_text(build())
     else:
@@ -134,8 +233,9 @@ def _spaced(values) -> str:
     return " ".join(map(str, values))
 
 
-def _digit_list(digits) -> list[str]:
-    return list(map(str, digits))
+def _json_items(digits) -> str:
+    """Digits as the items of a JSON array of decimal strings."""
+    return ", ".join(map('"{}"'.format, digits))
 
 
 def _record_rows(data: dict) -> list:
@@ -179,7 +279,7 @@ def cmd_info(args) -> int:
         # one join, so the generators are copied into the text only once
         return " ".join([f"GT({n},{k})\ngenerators =", *gens[:-1], gens[-1] + rest])
 
-    _write(args.format, json=lambda: _jsonify(data), csv=lambda: _record_rows(data), text=text)
+    _write(args.format, json=lambda: data, csv=lambda: _record_rows(data), text=text)
     return 0
 
 
@@ -206,17 +306,18 @@ def cmd_apery(args) -> int:
         return _apery_decoded(n, k, form, sep)
 
     def record():
-        # decimal strings in bulk, not through _jsonify
-        values, coeffs = listing(_digit_list, [])
-        data = {"n": str(n), "k": str(k), "s0": str(s0), "apery": list(map(str, values))}
+        # each sequence already the items of its JSON array
+        values, coeffs = listing(_json_items, ", ")
+        data = {"n": n, "k": k, "s0": s0, "apery": values}
         if coeffs is not None:
-            data["coeffs"] = coeffs
+            data["coeffs"] = _JsonArrays(coeffs)
         return data
 
     def rows():
+        # str cells, so that _csv_text can join the table whole
         values, coeffs = listing(_spaced, " ")
         yield ("residue", "value", "coeffs")
-        yield from zip((v % s0 for v in values), values, coeffs)
+        yield from zip(map(str, map(s0.__rmod__, values)), map(str, values), coeffs)
 
     def text():
         values, coeffs = listing(_spaced, " ")
@@ -231,7 +332,7 @@ def cmd_apery(args) -> int:
 def cmd_frobenius(args) -> int:
     value = thabit.frobenius_closed(args.n, args.k)
     data = {"n": args.n, "k": args.k, "frobenius": value}
-    _write(args.format, json=lambda: _jsonify(data), csv=lambda: _record_rows(data),
+    _write(args.format, json=lambda: data, csv=lambda: _record_rows(data),
            text=lambda: f"F = {value}\n")
     return 0
 
@@ -271,7 +372,7 @@ def cmd_oracle(args) -> int:
         legacy = ",".join(keys) + "\n" + ",".join(str(data[key]) for key in keys) + "\n"
         _write("text", text=lambda: legacy)
         return 0
-    _write(args.format, json=lambda: _jsonify(data), csv=lambda: _record_rows(data), text=text)
+    _write(args.format, json=lambda: data, csv=lambda: _record_rows(data), text=text)
     return 0
 
 
@@ -288,8 +389,8 @@ def cmd_verify(args) -> int:
     def record():
         points = [{"n": p.n, "k": p.k, "s0": p.s0, "status": "match" if p.ok else "mismatch",
                    "mismatches": [vars(m) for m in p.mismatches]} for p in report.points]
-        return _jsonify({"total": report.total, "mismatched": len(report.mismatched),
-                         "points": points})
+        return {"total": report.total, "mismatched": len(report.mismatched),
+                "points": points}
 
     def rows():
         yield ("n", "k", "s0", "status", "detail")

@@ -32,10 +32,10 @@ a subset-sum table, sorted and checked once.  :func:`apery_set_closed`
 returns the values and :func:`apery_coeffs` ``(values, coeffs)``, the
 sequences decoded in the same order.  :func:`_apery_decoded` decodes the
 codes by two half tables, rendered once each in the caller's form (tuples
-for :func:`apery_coeffs`; the CLI's spaced text or lists of digit strings),
-so a value's sequence is two lookups and one ``+``.  The spec-literal
-form, every valid tuple filtered by the per-case rules, is kept in the
-test suite as the reference for this one.
+for :func:`apery_coeffs`; the CLI's spaced text, or the items of a JSON
+array of digit strings), so a value's sequence is two lookups and one
+``+``.  The spec-literal form, every valid tuple filtered by the per-case
+rules, is kept in the test suite as the reference for this one.
 """
 
 from __future__ import annotations

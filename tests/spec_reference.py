@@ -26,6 +26,10 @@ had before its one run rule, with the greedy fit count that visits every
 position and the popcount sum taken bit by bit.  The genus is also kept
 as ``gtsg.thabit`` took it before it chained the runs' popcount sums:
 each run summed on its own, with a popcount sum that halves its count.
+
+``_jsonify`` is the JSON form ``gtsg.cli`` dumped through the json module
+before it wrote JSON itself: every int (not bool) turned into its decimal
+string, and tuples into lists.
 """
 
 from __future__ import annotations
@@ -380,3 +384,16 @@ def genus_per_run(n: int, k: int) -> int:
     if r != 0:
         raise AssertionError("genus division inexact")
     return q
+
+
+def _jsonify(obj):
+    """Recursively turn ints into decimal strings for lossless JSON."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _jsonify(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(value) for value in obj]
+    return obj

@@ -506,12 +506,143 @@ class TestCsvText:
         assert cli._csv_text(rows) == self.joined(rows)
 
 
+class TestCsvWholeTable:
+    """A table of str cells is joined whole; one cell or row that needs
+    quoting or an empty row sends it cell by cell, with the same text."""
+
+    ROWS = 1000
+
+    @classmethod
+    def table(cls):
+        return [("residue", "value", "coeffs")] + [
+            (str(i % 97), str(7 * i), " ".join("012"[j % 3] for j in range(i % 5 + 1)))
+            for i in range(cls.ROWS - 1)]
+
+    def test_plain_table(self):
+        rows = self.table()
+        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+
+    @pytest.mark.parametrize("at", [0, 1, 500, ROWS - 1])
+    @pytest.mark.parametrize("cell", ["a,b", ",", 'say "hi"', '"', "a\rb", "\r", "a\nb",
+                                      "\n", "\r\n"])
+    def test_one_cell_needs_quoting(self, at, cell):
+        rows = self.table()
+        rows[at] = (rows[at][0], cell, rows[at][2])
+        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+
+    @pytest.mark.parametrize("at", [0, 1, 500, ROWS - 1])
+    @pytest.mark.parametrize("row", [("",), ()], ids=["one-empty-cell", "empty-row"])
+    def test_one_empty_row(self, at, row):
+        rows = self.table()
+        rows[at] = row
+        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [()],
+        [("",)],
+        [("",), ("",)],
+        [("a",), ("b", "c"), ("d", "e", "f"), ("g", "")],
+        [("a", "", ""), ("", "b"), ("", "")],
+        [("x",)] * 3 + [("a", "b,c")],
+    ], ids=["no-rows", "empty-row", "one-empty-cell", "two-empty-cells", "unequal",
+            "empty-cells", "comma-last"])
+    def test_small_tables(self, rows):
+        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+
+    def test_generator_input(self):
+        rows = self.table()
+        assert cli._csv_text(row for row in rows) == TestCsvText.reference(rows)
+        assert cli._csv_text(iter(row) for row in rows) == TestCsvText.reference(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "0"],
+                                     max_size=3), max_size=4), max_size=6))
+    def test_str_tables_match_csv_writer(self, rows):
+        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+
+
+def _json_leaves():
+    text = st.text(alphabet=['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u00e9",
+                             "\u2028", "\U0001f600", "\u00b2", "\u0663", "-", " ",
+                             "a", "0", "9"], max_size=5)
+    digits = st.from_regex(r"[0-9]{1,6}", fullmatch=True)
+    return (st.integers() | st.booleans() | st.none() | text | digits
+            | st.sampled_from(["", "-1", "\u00b2", "\u0663", "0", "007"]))
+
+
+def _json_records():
+    leaves = _json_leaves()
+    digit_lists = st.lists(st.from_regex(r"[0-9]{1,6}", fullmatch=True), max_size=6)
+    int_lists = st.lists(st.integers(), max_size=6)
+    return st.recursive(
+        leaves | digit_lists | int_lists,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.tuples(children, children)
+                          | st.dictionaries(st.text(alphabet=['"', "\\", "\n", "\u00e9",
+                                                              "a", "b", "1"], max_size=3),
+                                            children, max_size=4)),
+        max_leaves=16)
+
+
+class TestJsonText:
+    """cli._json_text writes what the json module writes for the
+    _jsonify form, sorted keys, and "\n"."""
+
+    @staticmethod
+    def reference(obj):
+        return json.dumps(spec_reference._jsonify(obj), sort_keys=True) + "\n"
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_records())
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, "", "-1", "\u00b2", "\u0663",
+        ["1", "\u00b2", "2"], ["1", "\u0663"], ["1", ""], ["1", "-1"], ["1", 2],
+        [1, "2"], [1, True], [True, False, None], [1, -1, 0], ["0", None],
+        ["1", ["2"]], ("1", "2"), {"k": ("1", 2)}, {"\u00e9\"\\": '"\x7f\x00'},
+    ], ids=repr)
+    def test_edge_values(self, obj):
+        assert cli._json_text(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("tail", ["\u00b2", "\u0663", '"', "\\", "\x00", "\x7f", "\ud800",
+                                      "-1", "", "12", -1, 12, True, None])
+    @pytest.mark.parametrize("head", [255, 256, 600])
+    def test_one_item_past_a_chunk_of_digits(self, head, tail):
+        for obj in ([str(i) for i in range(head)] + [tail], list(range(head)) + [tail]):
+            assert cli._json_text(obj) == self.reference(obj)
+
+    def test_big_integers(self):
+        big = 7 ** 6000
+        with whole_ints():
+            obj = {"big": big, "neg": -big, "list": [big, 1, 2], "mixed": [big, "x"],
+                   "digits": [str(big), "3"]}
+            assert cli._json_text(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("seqs", [
+        [], [()], [(0,)], [(0, 1), (2, 0)], [(), (1,)], [(2, 1, 0, 1)] * 3,
+    ], ids=repr)
+    def test_arrays_of_rendered_items(self, seqs):
+        obj = {"coeffs": cli._JsonArrays(map(cli._json_items, seqs))}
+        assert cli._json_text(obj) == self.reference({"coeffs": seqs})
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1.5}, [object()]],
+                             ids=["int-key", "float", "object"])
+    def test_refuses_what_it_cannot_write(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+
+
 class TestProcessFootprint:
     """Costs that only show in a fresh process."""
 
     def test_import_loads_no_pool_or_csv(self):
+        # decimal too: generator_decimals imports it when it runs
         script = ("import sys, gtsg.cli\n"
-                  "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'csv')\n"
+                  "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'csv',\n"
+                  "                         'decimal')\n"
                   "             if m in sys.modules))\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -549,6 +680,13 @@ class TestProcessFootprint:
         text = self.peak_rss_kb(*argv, "text")
         table = self.peak_rss_kb(*argv, "csv")
         assert table <= 1.10 * text, (table, text)
+
+    def test_info_json_peaks_no_higher_than_text(self):
+        # the same 16.3 MB of generators, as one JSON array of strings
+        argv = ("info", "--n", "6000", "--k", "2", "--format")
+        text = self.peak_rss_kb(*argv, "text")
+        record = self.peak_rss_kb(*argv, "json")
+        assert record <= 1.10 * text, (record, text)
 
     def test_info_text_peak_stays_under_two_and_a_half_outputs(self, capsys, monkeypatch):
         # the generator strings and the text built from them coexist, but
