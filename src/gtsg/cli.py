@@ -7,16 +7,16 @@ Subcommands:
   oracle     generic computations on an explicit generator list
   verify     closed-form vs oracle sweep over a parameter grid
 
-Each subcommand computes its result and hands one builder per format to
-``_write``, which runs only the builder of ``--format`` and writes its
-text to stdout.  Exit codes: 0 success / all match, 1 verification
-mismatch, 2 usage or input error or any other failure.  JSON output
-serializes every integer as a decimal string so consumers never lose
-precision; ``_json_text`` writes it byte for byte as the json module's
-``dumps`` with sorted keys would.  CSV output is written by ``_csv_text``
-in the default dialect of Python's csv module.  Both join one flat list
-of pieces once, and take a list of decimal strings or an all-string
-table in C-level joins, with no per-item escaping or quoting.
+Each subcommand computes and checks its result, then hands one builder
+per format to ``_write``, the one sink, which runs only the builder of
+``--format`` and streams what it gives to stdout about 1 MiB at a time.
+Exit codes: 0 success / all match, 1 verification mismatch, 2 usage or
+input error or any other failure.  JSON output serializes every integer
+as a decimal string so consumers never lose precision; ``_json_batches``
+writes it byte for byte as the json module's ``dumps`` with sorted keys
+would, and ``_csv_batches`` CSV as Python's csv module's default dialect.
+A list of decimal strings goes out a batch at a time in C-level joins,
+with no per-item escaping or quoting.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import thabit, verify
 from .oracle import SemigroupError, make_semigroup
 # by name: perfbench's tracer swaps cli.thabit for a namespace of its public
 # functions only
-from .thabit import _apery_decoded
+from .thabit import _BATCH, _apery_decoded
 
 DEFAULT_APERY_CAP = 1_000_000
 
@@ -53,180 +55,144 @@ def _apery_cap() -> int:
     raise ValueError(f"GTSG_S0_CAP must be a non-negative integer, got {env!r}")
 
 
-class _JsonArrays(list):
-    """A JSON array of arrays, each given as its items' JSON text: the list
-    ``['"0", "1"', '"2"']`` is written ``[["0", "1"], ["2"]]``."""
+@dataclass
+class _Batched:
+    """A list as an iterable of batches (lists) of its items, written as
+    they come.  With ``arrays`` an item is the JSON text of an array's
+    items: ``[['"0", "1"', '"2"']]`` is written ``[["0", "1"], ["2"]]``."""
+
+    batches: object
+    arrays: bool = False
 
 
-def _push_joined(out: list, items, sep: str) -> None:
-    """Push ``items`` onto ``out`` with ``sep`` between them."""
-    base = len(out)
-    out += [sep] * (2 * len(items) - 1)
-    out[base::2] = items
-
-
-# _digits_only joins this many items at a time
-_DIGIT_CHUNK = 256
+def _batches(items, size: int = _BATCH):
+    """``items`` in lists of ``size``, the last one shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, size)), [])
 
 
 def _digits_only(items) -> bool:
-    """Whether every str in ``items`` holds only the digits 0-9.
+    """Whether every str in ``items`` holds only 0-9, by a table lookup a
+    byte of their join, where ``str.isdigit`` takes each character's class."""
+    chunk = "".join(items)
+    return chunk.isascii() and not chunk.encode().translate(None, b"0123456789")
 
-    A joined chunk of items is checked at a time: ``isascii`` of a str is
-    O(1), and deleting 0-9 from its bytes is one pass of a table lookup
-    a byte, where ``str.isdigit`` takes each character's Unicode class.
+
+def _json_batches(obj):
+    """What the json module's ``dumps(obj, sort_keys=True)`` writes, as
+    batches, with every int (not bool) a decimal string; dict keys must be
+    str.  A list, tuple or ``_Batched`` goes out a batch at a time, and a
+    batch of ints or of strings holding only 0-9 goes in with ``", "``
+    quotes between its items and no escaping; any other batch goes item by
+    item, any other string through ``encode_basestring_ascii``.
     """
-    for i in range(0, len(items), _DIGIT_CHUNK):
-        chunk = "".join(items[i:i + _DIGIT_CHUNK])
-        if not chunk.isascii() or chunk.encode().translate(None, b"0123456789"):
-            return False
-    return True
-
-
-def _push_json(out: list, obj) -> None:
     if isinstance(obj, str):
-        out.append(_json_str(obj))
+        yield _json_str(obj)
     elif obj is None:
-        out.append("null")
+        yield "null"
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        yield "true" if obj else "false"
     elif isinstance(obj, int):
-        out += ('"', str(obj), '"')
+        yield ['"', str(obj), '"']
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        pre = "{"
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            if i:
-                out.append(", ")
-            out += (_json_str(key), ": ")
-            _push_json(out, obj[key])
-        out.append("}")
-    elif type(obj) is _JsonArrays:
-        if obj:
-            out.append("[[")
-            _push_joined(out, obj, "], [")
-            out.append("]]")
-        else:
-            out.append("[]")
-    elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            obj, kinds = list(map(str, obj)), {str}
-        if kinds == {str} and _digits_only(obj):
-            # nothing to escape
-            out.append('["')
-            _push_joined(out, obj, '", "')
-            out.append('"]')
-            return
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _push_json(out, item)
-        out.append("]")
+            yield [pre, _json_str(key), ": "]
+            yield from _json_batches(obj[key])
+            pre = ", "
+        yield "}" if pre == ", " else "{}"
+    elif isinstance(obj, (list, tuple, _Batched)):
+        arrays = type(obj) is _Batched and obj.arrays
+        pre = "["
+        for batch in obj.batches if type(obj) is _Batched else _batches(obj):
+            kinds = set(map(type, batch))
+            if int in kinds and kinds <= {int, str}:
+                batch, kinds = list(map(str, batch)), {str}
+            if batch and (arrays or kinds == {str} and _digits_only(batch)):
+                # nothing to escape: the items joined in as they are, and let go
+                head, sep, tail = ("[", "], [", "]") if arrays else ('"', '", "', '"')
+                batch = sep.join(batch)
+                yield from (pre + head, batch, tail)
+                pre = ", "
+                continue
+            for item in batch:
+                yield pre
+                yield from _json_batches(item)
+                pre = ", "
+        yield "]" if pre == ", " else "[]"
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(obj) -> str:
-    """What the json module's ``dumps(obj, sort_keys=True)`` writes, and
-    "\n", with every int (not bool) a decimal string; dict keys must be str.
-
-    The pieces go into one flat list joined once, so a large string is
-    copied once.  A list of ints or of ASCII decimal strings goes in with
-    ``", "`` quotes between its items and no escaping; any other string
-    goes through ``encode_basestring_ascii``, as ``dumps`` does.
-    """
-    out = []
-    _push_json(out, obj)
-    out.append("\n")
-    return "".join(out)
-
-
-def _csv_text(rows) -> str:
-    """``rows`` as the text ``csv.writer(buf).writerows(rows)`` would write,
-    a list cell written as its items' ``str()`` joined by spaces.
-
-    The default (excel) dialect: None is an empty cell, any other value is
+def _csv_cell(value) -> str:
+    """One cell as ``csv.writer``'s default (excel) dialect writes it: None
+    is empty, a list its items' ``str()`` joined by spaces, any other value
     its ``str()``; a cell holding ``,``, ``"``, CR or LF is quoted with its
-    ``"`` doubled, a row of one empty cell is written ``""``, and every row
-    ends in ``"\r\n"``.  The cells and separators go into one flat list and
-    are joined once, so a large cell is copied once.  A list cell whose
-    items hold none of those characters nor a space needs no quoting, so
-    its items go into that list as they are, with " " between them, and
-    the cell is never joined on its own.
-
-    A table of ``str`` cells is first joined whole, "," within a row and
-    "\r\n" after each.  That text is the answer when it holds no ``"``,
-    no CR, LF or comma but those the join put in, and no row joined to ""
-    (a row ``("",)`` is written ``""``): then no cell needs quoting.  Any
-    other table goes cell by cell as above.
-    """
-    rows = list(map(tuple, rows))
-    try:
-        lines = list(map(",".join, rows))
-    except TypeError:       # a cell that is not a str
-        lines = None
-    if lines and "" not in lines:
-        lines.append("")    # the last row's "\r\n"
-        text = "\r\n".join(lines)
-        if ('"' not in text and text.count("\r") == text.count("\n") == len(rows)
-                and text.count(",") == sum(map(len, rows)) - len(rows)):
-            return text
-    out = []
-    push = out.append
-    for row in rows:
-        start = len(out)
-        for value in row:
-            if isinstance(value, list):
-                items = list(map(str, value))
-                if items and not any(c in item for item in items for c in ',"\r\n '):
-                    for item in items:
-                        push(item)
-                        push(" ")
-                    out[-1] = ","       # in place of the cell's last " "
-                    continue
-                value = " ".join(items)
-            cell = "" if value is None else str(value)
-            if '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            elif "," in cell or "\n" in cell or "\r" in cell:
-                cell = '"' + cell + '"'
-            push(cell)
-            push(",")
-        if len(out) == start:
-            push("\r\n")
-        else:
-            if len(out) == start + 2 and not out[start]:
-                out[start] = '""'
-            out[-1] = "\r\n"    # in place of the row's last ","
-    return "".join(out)
+    ``"`` doubled."""
+    if isinstance(value, list):
+        value = " ".join(map(str, value))
+    cell = "" if value is None else str(value)
+    if '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    if "," in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell + '"'
+    return cell
 
 
-# _write hands stdout at most this many characters at a time
-_WRITE_SLICE = 1 << 20
+def _spaced_batches(batches):
+    """The str items of ``batches``, " " between them, a batch at a time."""
+    for at, batch in enumerate(filter(None, batches)):
+        if at:
+            yield " "
+        yield " ".join(batch)
+
+
+def _csv_batches(rows):
+    """What ``csv.writer(buf).writerows(rows)`` writes, as batches: cells as
+    ``_csv_cell`` writes them, a row of one empty cell as ``""``, "\r\n"
+    after each row.  A ``_Batched`` cell goes out a batch at a time, its
+    str items with " " between them, and must need no quoting."""
+    for row in map(tuple, rows):
+        empty = len(row) == 1
+        for i, value in enumerate(row):
+            cells = (_spaced_batches(value.batches) if type(value) is _Batched
+                     else [_csv_cell(value)])
+            if i:
+                yield ","
+            for cell in cells:
+                if type(value) is _Batched and _csv_cell(cell) != cell:
+                    raise ValueError(f"a streamed CSV cell needs quoting: {cell[:40]!r}")
+                empty = empty and not cell
+                yield cell
+        yield '""\r\n' if empty else "\r\n"
+
+
+# _write gathers about this many characters before it writes
+_FLUSH = 1 << 20
 
 
 def _write(fmt: str, **builders) -> None:
-    """Render a result in ``fmt`` and write it to stdout.
+    """Render a result in ``fmt`` and stream it to stdout: the one sink.
 
     ``builders`` maps each format to a function of no arguments, and only
     the one for ``fmt`` runs: ``json`` returns an object, written by
-    ``_json_text``; ``csv`` returns rows, written by ``_csv_text``; ``text``
-    returns the text itself.  The text goes out in slices of at most 1 MiB,
-    so the stream never encodes a whole large output into one more copy.
+    ``_json_batches``; ``csv`` rows, written by ``_csv_batches``; ``text``
+    its batches, each a str or a list of str pieces.  A batch is joined
+    once, and written once about 1 MiB has gathered.
     """
-    build = builders[fmt]
-    if fmt == "json":
-        out = _json_text(build())
-    elif fmt == "csv":
-        out = _csv_text(build())
-    else:
-        out = build()
-    write = sys.stdout.write
-    for i in range(0, len(out), _WRITE_SLICE):
-        write(out[i:i + _WRITE_SLICE])
+    render = {"json": _json_batches, "csv": _csv_batches}.get(fmt, iter)
+    held, size = [], 0
+    for batch in render(builders[fmt]()):
+        held.append(batch if type(batch) is str else "".join(batch))
+        size += len(held[-1])
+        if size >= _FLUSH:
+            # the pieces go before the joined text is encoded
+            held, size = ["".join(held)], 0
+            sys.stdout.write(held.pop())
+    held.append("\n" if fmt == "json" else "")
+    sys.stdout.write("".join(held))
 
 
 def _spaced(values) -> str:
@@ -239,23 +205,24 @@ def _json_items(digits) -> str:
 
 
 def _record_rows(data: dict) -> list:
-    """A record as csv rows: its keys, then its values (``_csv_text`` writes
-    a list space-separated)."""
+    """A record as csv rows: its keys, then its values."""
     return [list(data), list(data.values())]
 
 
 def cmd_info(args) -> int:
     n, k = args.n, args.k
     s0 = thabit.generator_at(n, k, 0)
-    # already decimal strings: every format prints them as they are
-    gens = thabit.generator_decimals(n, k)
+    e = thabit.embedding_dimension(n, k)
+    # already decimal strings, so every format prints them as they are, as
+    # they are made: batches of about 80 kB, s_(e-1) having n + e + k bits
+    gens = _Batched(_batches(thabit.generator_decimals(n, k), max(1, (1 << 18) // (n + e + k))))
     max_apery = thabit.max_apery(n, k)
     data = {
         "n": n,
         "k": k,
         "generators": gens,
         "delta": thabit.delta(n, k),
-        "e": thabit.embedding_dimension(n, k),
+        "e": e,
         "case": thabit.case_of(n, k).name,
         "max_apery": max_apery,
         "frobenius": max_apery - s0,
@@ -270,14 +237,14 @@ def cmd_info(args) -> int:
         genus = data["genus"]
         if genus is None:
             genus = "(skipped: s0 exceeds enumeration cap; raise GTSG_S0_CAP)"
-        rest = (f"\ndelta = {data['delta']}\n"
-                f"e = {data['e']}\n"
-                f"case = {data['case']}\n"
-                f"max_apery = {max_apery}\n"
-                f"F = {data['frobenius']}\n"
-                f"genus = {genus}\n")
-        # one join, so the generators are copied into the text only once
-        return " ".join([f"GT({n},{k})\ngenerators =", *gens[:-1], gens[-1] + rest])
+        yield f"GT({n},{k})\ngenerators = "
+        yield from _spaced_batches(gens.batches)
+        yield (f"\ndelta = {data['delta']}\n"
+               f"e = {e}\n"
+               f"case = {data['case']}\n"
+               f"max_apery = {max_apery}\n"
+               f"F = {data['frobenius']}\n"
+               f"genus = {genus}\n")
 
     _write(args.format, json=lambda: data, csv=lambda: _record_rows(data), text=text)
     return 0
@@ -296,36 +263,44 @@ def cmd_apery(args) -> int:
     s0 = thabit.generator_at(n, k, 0)
     _check_cap("s0", s0)
 
-    # one thabit listing a command, made inside the builder so that no
-    # list outlives it: the values, and the coefficient sequences if
-    # printed, decoded straight into the builder's form (``form`` and
-    # ``sep`` as _apery_decoded takes them)
+    csv = args.format == "csv"
+
+    # one thabit listing a command, made and checked inside the builder
+    # before its first batch: the values, and the coefficient sequences if
+    # printed, decoded a batch at a time straight into the builder's form
+    # (``form`` and ``sep`` as _apery_decoded takes them)
     def listing(form, sep):
-        if not (args.with_coeffs or args.format == "csv"):
+        if not (args.with_coeffs or csv):
             return thabit.apery_set_closed(n, k), None
         return _apery_decoded(n, k, form, sep)
 
     def record():
-        # each sequence already the items of its JSON array
+        # each sequence already the items of its JSON array; the values go
+        # as soon as they are written, before the sequences are decoded
         values, coeffs = listing(_json_items, ", ")
-        data = {"n": n, "k": k, "s0": s0, "apery": values}
+        data = {"n": n, "k": k, "s0": s0, "apery": _Batched(_batches(values))}
         if coeffs is not None:
-            data["coeffs"] = _JsonArrays(coeffs)
+            data["coeffs"] = _Batched(coeffs, arrays=True)
         return data
 
-    def rows():
-        # str cells, so that _csv_text can join the table whole
+    def lines():
+        # text and csv: a line a value, in batches of _BATCH values as
+        # _apery_decoded's; every cell is digits and spaces, which csv
+        # never quotes, so csv is rendered here as text is
         values, coeffs = listing(_spaced, " ")
-        yield ("residue", "value", "coeffs")
-        yield from zip(map(str, map(s0.__rmod__, values)), map(str, values), coeffs)
+        sep, end = (",", "\r\n") if csv else (" ", "\n")
+        if csv:
+            yield "residue,value,coeffs\r\n"
+        for at in range(0, len(values), _BATCH):
+            batch = values[at:at + _BATCH]
+            cells = [map(str, batch)]
+            if csv:
+                cells.insert(0, map(str, map(s0.__rmod__, batch)))
+            if coeffs is not None:
+                cells.append(next(coeffs))
+            yield [end.join(map(sep.join, zip(*cells))), end]
 
-    def text():
-        values, coeffs = listing(_spaced, " ")
-        if coeffs is None:
-            return "\n".join(map(str, values)) + "\n"
-        return "".join(f"{v} {c}\n" for v, c in zip(values, coeffs))
-
-    _write(args.format, json=record, csv=rows, text=text)
+    _write("text" if csv else args.format, json=record, text=lines)
     return 0
 
 
@@ -333,7 +308,7 @@ def cmd_frobenius(args) -> int:
     value = thabit.frobenius_closed(args.n, args.k)
     data = {"n": args.n, "k": args.k, "frobenius": value}
     _write(args.format, json=lambda: data, csv=lambda: _record_rows(data),
-           text=lambda: f"F = {value}\n")
+           text=lambda: [f"F = {value}\n"])
     return 0
 
 
@@ -351,26 +326,26 @@ def cmd_oracle(args) -> int:
         table = gens.apery_set(args.x)
         values = sorted(table.w)
         data = {"gens": list(gens.gens), "modulus": table.modulus, "apery": values}
-        text = lambda: _spaced(values) + "\n"
+        text = lambda: [_spaced(values), "\n"]
     elif what == "frobenius":
         data = {"gens": list(gens.gens), "frobenius": gens.frobenius()}
-        text = lambda: f"{data['frobenius']}\n"
+        text = lambda: [f"{data['frobenius']}\n"]
     elif what == "genus":
         data = {"gens": list(gens.gens), "genus": gens.genus()}
-        text = lambda: f"{data['genus']}\n"
+        text = lambda: [f"{data['genus']}\n"]
     else:  # membership
         if args.x is None:
             raise SemigroupError("membership requires --x")
         member = gens.is_member(args.x)
         data = {"gens": list(gens.gens), "x": args.x, "member": member}
-        text = lambda: "member\n" if member else "not-member\n"
+        text = lambda: ["member\n" if member else "not-member\n"]
     if args.format == "csv":
         # Kept byte for byte while perfbench/checks.py parses it: no gens
         # column, and apery as the unquoted Python list repr.  Deleting this
         # branch hands csv to the writer below.
         keys = [key for key in data if key != "gens"]
         legacy = ",".join(keys) + "\n" + ",".join(str(data[key]) for key in keys) + "\n"
-        _write("text", text=lambda: legacy)
+        _write("text", text=lambda: [legacy])
         return 0
     _write(args.format, json=lambda: data, csv=lambda: _record_rows(data), text=text)
     return 0
@@ -398,11 +373,10 @@ def cmd_verify(args) -> int:
             yield (p.n, p.k, p.s0, "match" if p.ok else "mismatch", "; ".join(notes(p)))
 
     def text():
-        lines = [f"GT({p.n},{p.k}) s0={p.s0} {'match' if p.ok else 'MISMATCH'}"
-                 + "".join(f" [{note}]" for note in notes(p))
-                 for p in report.points]
-        lines.append(f"{report.total} points, {len(report.mismatched)} mismatched")
-        return "\n".join(lines) + "\n"
+        for p in report.points:
+            yield [f"GT({p.n},{p.k}) s0={p.s0} {'match' if p.ok else 'MISMATCH'}",
+                   *(f" [{note}]" for note in notes(p)), "\n"]
+        yield f"{report.total} points, {len(report.mismatched)} mismatched\n"
 
     _write(args.format, json=record, csv=rows, text=text)
     return 0 if report.ok else 1

@@ -15,10 +15,11 @@ never recurse.  The genus applies Selmer's formula to the Apery sum,
 taken in one pass over the runs with chained popcount sums: O(m)
 big-integer steps, no recursion and no listing of the values.
 
-:func:`generator_decimals` writes the generators in base 10 for output.
-It steps s_(i+1) = 2*s_i + B in exact Decimal arithmetic, whose
-arithmetic and ``str`` are linear in the digits, so printing all m + 1
-generators never goes through CPython's quadratic int-to-str conversion.
+:func:`generator_decimals` writes the generators in base 10 for output,
+one at a time as they are asked for.  It steps s_(i+1) = 2*s_i + B in
+exact Decimal arithmetic, whose arithmetic and ``str`` are linear in the
+digits, so printing all m + 1 generators never goes through CPython's
+quadratic int-to-str conversion.
 
 Coefficient sequences (t_1, ..., t_m) over {0,1,2} encode the element
 Q = t_1*s_1 + ... + t_m*s_m and the scalar P = sum t_i*(2^i - 1).  A
@@ -34,13 +35,15 @@ sequences decoded in the same order.  :func:`_apery_decoded` decodes the
 codes by two half tables, rendered once each in the caller's form (tuples
 for :func:`apery_coeffs`; the CLI's spaced text, or the items of a JSON
 array of digit strings), so a value's sequence is two lookups and one
-``+``.  The spec-literal form, every valid tuple filtered by the per-case
-rules, is kept in the test suite as the reference for this one.
+``+``, a batch of values at a time.  The spec-literal form, every valid
+tuple filtered by the per-case rules, is kept in the test suite as the
+reference for this one.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from operator import lt
 
 from .oracle import Semigroup, make_semigroup
@@ -97,13 +100,15 @@ def minimal_generating_set(n: int, k: int) -> Semigroup:
     return make_semigroup(gens)
 
 
-def generator_decimals(n: int, k: int) -> list[str]:
-    """s_0, ..., s_(n+delta) written in base 10.
+def generator_decimals(n: int, k: int):
+    """s_0, ..., s_(n+delta) written in base 10, an iterator.
 
     The same numbers as :func:`minimal_generating_set`, taken in Decimal
     under a context that neither rounds nor overflows (any rounding traps),
     so the recurrence s_(i+1) = 2*s_i + B and each ``str`` cost time linear
-    in the digits, where ``str`` of an int is quadratic in CPython.
+    in the digits, where ``str`` of an int is quadratic in CPython.  Each
+    string is made when it is asked for, so a caller that writes them out
+    holds one at a time; bad n or k raise at the call.
     """
     # imported here, not at the top: importing decimal costs milliseconds,
     # and every process that imports gtsg would pay them
@@ -112,15 +117,15 @@ def generator_decimals(n: int, k: int) -> list[str]:
     m = n + delta(n, k)
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-    with decimal.localcontext(ctx):
-        two = decimal.Decimal(2)
-        b = two**k - 1
-        s = (b + 2) * two**n - b                # s_0 = (2^k + 1)*2^n - B
-        out = [str(s)]
+    # every step through ctx: the thread's own context would round
+    add = ctx.add
+    b = ctx.subtract(ctx.power(2, k), 1)
+    def steps(s):
+        yield str(s)
         for _ in range(m):
-            s = 2 * s + b
-            out.append(str(s))
-    return out
+            s = add(add(s, s), b)
+            yield str(s)
+    return steps(ctx.subtract(ctx.multiply(add(b, 2), ctx.power(2, n)), b))
 
 
 def case_of(n: int, k: int) -> Case:
@@ -138,16 +143,10 @@ def case_of(n: int, k: int) -> Case:
     return Case.KGT_N
 
 
-def coeff_solve(target: int, length: int) -> tuple[int, ...] | None:
-    """The unique valid prefix (t_1..t_length) with P = target.
-
-    P = sum t_i*(2^i - 1) with a 2 only as the lowest nonzero digit is the
-    canonical skew-binary number system (Myers, "An applicative
-    random-access stack", IPL 1983): every P in [0, 2*(2^length - 1)] has
-    exactly one such prefix, found greedily from the top position.  The test
-    suite also checks this exhaustively for lengths 1..12.  A 2 is allowed
-    at any position here because prefixes are completed by later
-    coefficients.  Returns None when target lies outside that range.
+def _skew_runs(target: int, length: int) -> list[tuple[int, int, int]] | None:
+    """The greedy of :func:`coeff_solve`: the prefix of ``length`` with
+    P = target as runs (i, digit, r), r equal nonzero digits at positions
+    i + 1 .. i + r, from the top down; None when target is out of range.
 
     With i the bit length of x, x = 2^i - 1 is a 1 at position i,
     x = 2^i - 2 a 2 at i - 1, and any other x a 1 at i - 1, which clears
@@ -158,23 +157,41 @@ def coeff_solve(target: int, length: int) -> tuple[int, ...] | None:
     """
     if not 0 <= target <= 2 * ((1 << length) - 1):
         return None
-    t = [0] * length
-    x = target
+    runs, x = [], target
     while x:
         i = x.bit_length()
         if x == (1 << i) - 1:
-            t[i - 1] = 1
+            runs.append((i - 1, 1, 1))
             break
         if x == (1 << i) - 2:
             # a 2 forces zeros below it
-            t[i - 2] = 2
+            runs.append((i - 2, 2, 1))
             break
         zero = (x ^ ((1 << i) - 1)).bit_length() - 1
         r = i - 1 - zero
         if (x & ((1 << zero) - 1)) + r >> zero:
             r = 1                       # the low part carries into the 0 bit
-        t[i - 1 - r:i - 1] = [1] * r
+        runs.append((i - 1 - r, 1, r))
         x -= (((1 << r) - 1) << (i - r)) - r
+    return runs
+
+
+def coeff_solve(target: int, length: int) -> tuple[int, ...] | None:
+    """The unique valid prefix (t_1..t_length) with P = target.
+
+    P = sum t_i*(2^i - 1) with a 2 only as the lowest nonzero digit is the
+    canonical skew-binary number system (Myers, "An applicative
+    random-access stack", IPL 1983): every P in [0, 2*(2^length - 1)] has
+    exactly one such prefix, found by :func:`_skew_runs` (the test suite
+    also checks this exhaustively for lengths 1..12), else None.  A 2 may
+    sit anywhere, as later coefficients complete a prefix.
+    """
+    runs = _skew_runs(target, length)
+    if runs is None:
+        return None
+    t = [0] * length
+    for i, digit, r in runs:
+        t[i:i + r] = [digit] * r
     return tuple(t)
 
 
@@ -215,17 +232,18 @@ def max_apery(n: int, k: int) -> int:
     ``head`` (bit i-1 for t_i = 1), worth 2A*head - B*popcount(head), plus
     the skew-binary prefix t_1 .. t_last that solves P = bound.  With
     s_i = A*2^i - B and c = sum t_i the prefix is worth A*(P + c) - B*c,
-    since sum t_i*2^i = P + c.
+    since sum t_i*2^i = P + c: its digit sum, never its digits, is taken.
     """
     if case_of(n, k) is Case.EXCEPTION_1_2:
         return 74
-    a, b = _affine(n, k)
     head, last, bound = _rule(n, k)
-    t = coeff_solve(bound, last)
-    if t is None:
+    runs = _skew_runs(bound, last)
+    if runs is None:
         raise AssertionError(f"no prefix of length {last} solves P = {bound}")
-    c = sum(t)
-    return a * (2 * head + bound + c) - b * (head.bit_count() + c)
+    c = sum(digit * r for _, digit, r in runs)
+    # A*x by shifts: a product of two full-width ints takes scratch space
+    x = 2 * head + bound + c
+    return (((x << k) + x) << n) - ((1 << k) - 1) * (head.bit_count() + c)
 
 
 def frobenius_closed(n: int, k: int) -> int:
@@ -285,8 +303,8 @@ def _apery_listing(n: int, k: int, coded: bool = False) -> tuple[int, list, list
     codes mask | (j << m) of their coefficient sequences in the same order.
 
     The subset sums grow with the mask (s_i > s_1 + ... + s_(i-1)), so each
-    run comes out ascending and one sort merges the runs: an argsort when
-    the codes must follow the values, else a plain sort.  The sorted values
+    run comes out ascending and one sort merges the runs, after an argsort
+    has put the codes in that order if they must follow.  The sorted values
     must be s_0, strictly ascending.
     """
     m = n + delta(n, k)
@@ -298,12 +316,12 @@ def _apery_listing(n: int, k: int, coded: bool = False) -> tuple[int, list, list
         run = sums[: count << j : 1 << j]
         values += map((2 * svals[j - 1]).__add__, run) if j else run
         spans.append(range(j << m, (j << m) + (count << j), 1 << j))
+    del sums            # before the sort, the listing's peak
     if coded:
-        order = sorted(range(len(values)), key=values.__getitem__)
-        flat = [c for span in spans for c in span]
-        values, codes = [values[i] for i in order], [flat[i] for i in order]
-    else:
-        values.sort()
+        # the order and the flat codes live only while the codes are picked
+        codes = list(map(list(chain.from_iterable(spans)).__getitem__,
+                         sorted(range(len(values)), key=values.__getitem__)))
+    values.sort()
     s0 = a - b
     if len(values) != s0 or not all(map(lt, values, values[1:])):
         raise AssertionError(f"closed Apery set for ({n},{k}) has {len(values)} values, "
@@ -324,14 +342,20 @@ def _bit_tuples(length: int) -> list[tuple[int, ...]]:
     return table
 
 
-def _apery_decoded(n: int, k: int, form, sep) -> tuple[list[int], list]:
+# values a batch, as _apery_decoded decodes them and the CLI writes them
+_BATCH = 4096
+
+
+def _apery_decoded(n: int, k: int, form, sep) -> tuple[list[int], object]:
     """Ap(GT(n,k), s_0) ascending and, in the same order, each value's
     coefficient sequence (t_1, ..., t_m) rendered as ``form(low) + sep +
     form(high)``, the low half t_1 .. t_h and the high half the rest.
 
+    The listing is made and checked at the call; the sequences come as an
+    iterator of lists, the i-th for ``values[i*_BATCH:(i+1)*_BATCH]``.
     ``form`` maps a tuple of digits to the caller's form and runs once a
-    half-table entry, never once a value; ``sep`` is left out when the
-    low half is empty (m = 1).  Each value is two lookups and one ``+``.
+    half-table entry, never once a value; ``sep`` is left out when the low
+    half is empty (m = 1).  Each value is two lookups and one ``+``.
     """
     m, values, codes = _apery_listing(n, k, coded=True)
     # decode each half of the mask by table; a table per position j of the
@@ -352,14 +376,16 @@ def _apery_decoded(n: int, k: int, form, sep) -> tuple[list[int], list]:
 
     lows = tables(_bit_tuples(h), 0, lambda t: form(t) + sep if t else form(t))
     highs = tables(_bit_tuples(m - h), h, form)
-    return values, [lows[c >> m][c & low_mask] + highs[c >> m][(c & full) >> h]
-                    for c in codes]
+    return values, ([lows[c >> m][c & low_mask] + highs[c >> m][(c & full) >> h]
+                     for c in codes[at:at + _BATCH]]
+                    for at in range(0, len(codes), _BATCH))
 
 
 def apery_coeffs(n: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """Ap(GT(n,k), s_0) as :func:`apery_set_closed` returns it, and in the
     same order each value's coefficient sequence (t_1, ..., t_m)."""
-    return _apery_decoded(n, k, tuple, ())
+    values, coeffs = _apery_decoded(n, k, tuple, ())
+    return values, list(chain.from_iterable(coeffs))
 
 
 def _popcount_step(pops: int, prev: int, count: int) -> int:

@@ -400,7 +400,7 @@ class TestVerify:
         script = (
             "from gtsg import thabit, verify\n"
             "assert False, 'not running under -O'\n"
-            "thabit.coeff_solve = lambda target, length: None\n"
+            "thabit._skew_runs = lambda target, length: None\n"
             "for m in verify.verify_point(1, 1).mismatches:\n"
             "    print(m.field, m.closed_value, sep=': ')\n"
         )
@@ -450,6 +450,33 @@ class TestUsageErrors:
         assert "unrecognized arguments: --force" in captured.err
 
 
+def writes(fmt, built):
+    """The strings the one sink hands to stdout for ``built``, the value
+    that a ``fmt`` builder returns, one a write."""
+    chunks = []
+
+    class Out(io.TextIOBase):
+        def write(self, text):
+            chunks.append(text)
+            return len(text)
+
+    with contextlib.redirect_stdout(Out()):
+        cli._write(fmt, **{fmt: lambda: built})
+    return chunks
+
+
+def sink(fmt, built):
+    return "".join(writes(fmt, built))
+
+
+def csv_text(rows):
+    return sink("csv", rows)
+
+
+def json_text(obj):
+    return sink("json", obj)
+
+
 def _cell_values():
     text = st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "\u00e9", "a", "0"],
                    max_size=6)
@@ -457,7 +484,8 @@ def _cell_values():
 
 
 class TestCsvText:
-    """cli._csv_text writes what csv.writer's default dialect writes."""
+    """The sink writes rows as csv.writer's default dialect does; a list
+    cell is its items joined by spaces, quoted as any cell."""
 
     @staticmethod
     def reference(rows):
@@ -470,13 +498,13 @@ class TestCsvText:
                               st.just([]), st.just([""]), st.just([None])),
                     max_size=5))
     def test_matches_csv_writer(self, rows):
-        assert cli._csv_text(rows) == self.reference(rows)
+        assert csv_text(rows) == self.reference(rows)
 
     def test_big_integers_and_generators(self):
         rows = [("big", "gens"), (7 ** 6000, " ".join(map(str, range(2000))))]
         with whole_ints():
-            assert cli._csv_text(rows) == self.reference(rows)
-            assert cli._csv_text(iter(rows)) == self.reference(rows)
+            assert csv_text(rows) == self.reference(rows)
+            assert csv_text(iter(rows)) == self.reference(rows)
 
     @classmethod
     def joined(cls, rows):
@@ -496,19 +524,19 @@ class TestCsvText:
     ], ids=["empty", "empty-among-cells", "one-empty-item", "empty-items",
             "comma-quote", "cr-lf-space", "plain", "big"])
     def test_list_cells_match_joined_cells(self, rows):
-        assert cli._csv_text(rows) == self.joined(rows)
+        assert csv_text(rows) == self.joined(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(_cell_values() | st.lists(st.text(
         alphabet=[",", '"', "\r", "\n", " ", "a", "0"], max_size=3), max_size=4),
         max_size=4), max_size=4))
     def test_list_cells_match_csv_writer(self, rows):
-        assert cli._csv_text(rows) == self.joined(rows)
+        assert csv_text(rows) == self.joined(rows)
 
 
 class TestCsvWholeTable:
-    """A table of str cells is joined whole; one cell or row that needs
-    quoting or an empty row sends it cell by cell, with the same text."""
+    """Tables of str cells, with one cell that needs quoting or one empty
+    row anywhere, come out as csv.writer writes them."""
 
     ROWS = 1000
 
@@ -520,7 +548,7 @@ class TestCsvWholeTable:
 
     def test_plain_table(self):
         rows = self.table()
-        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+        assert csv_text(rows) == TestCsvText.reference(rows)
 
     @pytest.mark.parametrize("at", [0, 1, 500, ROWS - 1])
     @pytest.mark.parametrize("cell", ["a,b", ",", 'say "hi"', '"', "a\rb", "\r", "a\nb",
@@ -528,14 +556,14 @@ class TestCsvWholeTable:
     def test_one_cell_needs_quoting(self, at, cell):
         rows = self.table()
         rows[at] = (rows[at][0], cell, rows[at][2])
-        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+        assert csv_text(rows) == TestCsvText.reference(rows)
 
     @pytest.mark.parametrize("at", [0, 1, 500, ROWS - 1])
     @pytest.mark.parametrize("row", [("",), ()], ids=["one-empty-cell", "empty-row"])
     def test_one_empty_row(self, at, row):
         rows = self.table()
         rows[at] = row
-        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+        assert csv_text(rows) == TestCsvText.reference(rows)
 
     @pytest.mark.parametrize("rows", [
         [],
@@ -548,18 +576,18 @@ class TestCsvWholeTable:
     ], ids=["no-rows", "empty-row", "one-empty-cell", "two-empty-cells", "unequal",
             "empty-cells", "comma-last"])
     def test_small_tables(self, rows):
-        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+        assert csv_text(rows) == TestCsvText.reference(rows)
 
     def test_generator_input(self):
         rows = self.table()
-        assert cli._csv_text(row for row in rows) == TestCsvText.reference(rows)
-        assert cli._csv_text(iter(row) for row in rows) == TestCsvText.reference(rows)
+        assert csv_text(row for row in rows) == TestCsvText.reference(rows)
+        assert csv_text(iter(row) for row in rows) == TestCsvText.reference(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "0"],
                                      max_size=3), max_size=4), max_size=6))
     def test_str_tables_match_csv_writer(self, rows):
-        assert cli._csv_text(rows) == TestCsvText.reference(rows)
+        assert csv_text(rows) == TestCsvText.reference(rows)
 
 
 def _json_leaves():
@@ -586,8 +614,8 @@ def _json_records():
 
 
 class TestJsonText:
-    """cli._json_text writes what the json module writes for the
-    _jsonify form, sorted keys, and "\n"."""
+    """The sink writes what the json module writes for the _jsonify form,
+    sorted keys, and "\n"."""
 
     @staticmethod
     def reference(obj):
@@ -596,7 +624,7 @@ class TestJsonText:
     @settings(max_examples=500, deadline=None)
     @given(_json_records())
     def test_matches_json_dumps(self, obj):
-        assert cli._json_text(obj) == self.reference(obj)
+        assert json_text(obj) == self.reference(obj)
 
     @pytest.mark.parametrize("obj", [
         [], {}, [[]], [{}], {"a": []}, {"a": {}}, "", "-1", "\u00b2", "\u0663",
@@ -605,34 +633,34 @@ class TestJsonText:
         ["1", ["2"]], ("1", "2"), {"k": ("1", 2)}, {"\u00e9\"\\": '"\x7f\x00'},
     ], ids=repr)
     def test_edge_values(self, obj):
-        assert cli._json_text(obj) == self.reference(obj)
+        assert json_text(obj) == self.reference(obj)
 
     @pytest.mark.parametrize("tail", ["\u00b2", "\u0663", '"', "\\", "\x00", "\x7f", "\ud800",
                                       "-1", "", "12", -1, 12, True, None])
     @pytest.mark.parametrize("head", [255, 256, 600])
     def test_one_item_past_a_chunk_of_digits(self, head, tail):
         for obj in ([str(i) for i in range(head)] + [tail], list(range(head)) + [tail]):
-            assert cli._json_text(obj) == self.reference(obj)
+            assert json_text(obj) == self.reference(obj)
 
     def test_big_integers(self):
         big = 7 ** 6000
         with whole_ints():
             obj = {"big": big, "neg": -big, "list": [big, 1, 2], "mixed": [big, "x"],
                    "digits": [str(big), "3"]}
-            assert cli._json_text(obj) == self.reference(obj)
+            assert json_text(obj) == self.reference(obj)
 
     @pytest.mark.parametrize("seqs", [
         [], [()], [(0,)], [(0, 1), (2, 0)], [(), (1,)], [(2, 1, 0, 1)] * 3,
     ], ids=repr)
     def test_arrays_of_rendered_items(self, seqs):
-        obj = {"coeffs": cli._JsonArrays(map(cli._json_items, seqs))}
-        assert cli._json_text(obj) == self.reference({"coeffs": seqs})
+        obj = {"coeffs": cli._Batched([list(map(cli._json_items, seqs))], arrays=True)}
+        assert json_text(obj) == self.reference({"coeffs": seqs})
 
     @pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1.5}, [object()]],
                              ids=["int-key", "float", "object"])
     def test_refuses_what_it_cannot_write(self, obj):
         with pytest.raises(TypeError):
-            cli._json_text(obj)
+            json_text(obj)
 
 
 class TestProcessFootprint:
@@ -698,6 +726,95 @@ class TestProcessFootprint:
         base = self.peak_rss_kb("frobenius", "--n", "5", "--k", "3")
         peak = self.peak_rss_kb(*argv)
         assert (peak - base) * 1024 < 2.5 * written, (peak, base, written)
+
+    def test_apery_csv_peaks_no_higher_than_text(self):
+        # the csv lines go out a batch at a time, as the text lines do
+        argv = ("apery", "--n", "13", "--k", "1", "--with-coeffs", "--format")
+        text = self.peak_rss_kb(*argv, "text")
+        table = self.peak_rss_kb(*argv, "csv")
+        assert table <= 1.10 * text, (table, text)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_info_peak_does_not_grow_with_its_output(self, fmt):
+        # 181 MB of generators, written as they are made: the peak stays
+        # within a few MB of a command that writes 10 bytes
+        base = self.peak_rss_kb("frobenius", "--n", "5", "--k", "3")
+        peak = self.peak_rss_kb("info", "--n", "20000", "--k", "1", "--format", fmt)
+        assert peak - base < 6 * 1024, (peak, base)
+
+    def test_apery_json_peak_stays_under_two_outputs(self, capsys, monkeypatch):
+        # 6.3 MB of values and coefficient sequences: the listing (values
+        # and codes) stays whole, the rendered text goes a batch at a time
+        argv = ("apery", "--n", "8", "--k", "8", "--format", "json", "--with-coeffs")
+        monkeypatch.delenv("GTSG_S0_CAP", raising=False)
+        assert cli.main(list(argv)) == 0
+        written = len(capsys.readouterr().out.encode())
+        base = self.peak_rss_kb("frobenius", "--n", "5", "--k", "3")
+        peak = self.peak_rss_kb(*argv)
+        assert (peak - base) * 1024 < 2 * written, (peak, base, written)
+
+
+class TestEarlyClosedStdout:
+    def test_a_reader_gone_after_100_bytes_is_one_error_line(self):
+        # the command meets the closed pipe in the middle of its output
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("GTSG_S0_CAP", None)
+        argv = ["apery", "--n", "8", "--k", "8", "--format", "json", "--with-coeffs"]
+        child = subprocess.Popen([sys.executable, "-c", "from gtsg.cli import entry; entry()",
+                                  *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(child.stdout.read(100)) == 100
+        finally:
+            child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gtsg: error: BrokenPipeError: "), err
+
+
+class TestSinkBoundaries:
+    """Lists and cells whose items straddle a write of about 1 MiB."""
+
+    @staticmethod
+    def dumps(obj):
+        return json.dumps(spec_reference._jsonify(obj), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("tail", ["x", "\u00e9", "-1", "", -1, None])
+    def test_one_item_to_escape_after_the_first_write(self, tail):
+        # about 2.9 MB of digit strings, then the one item that is not
+        items = [str(i) for i in range(300_000)] + [tail]
+        obj = {"a": items, "b": 1}
+        chunks = writes("json", obj)
+        assert len(chunks) > 1 and '"300000' not in chunks[0]
+        assert "".join(chunks) == self.dumps(obj)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_streamed_items_straddle_a_write(self, fmt):
+        # about 2 MB of decimal strings in batches of 7, as info writes its
+        # generators
+        items = [str(7 ** i) for i in range(1, 2200)]
+        streamed = cli._Batched(cli._batches(items, 7))
+        if fmt == "json":
+            chunks = writes(fmt, {"generators": streamed, "n": 1})
+            expected = self.dumps({"generators": items, "n": 1})
+        else:
+            chunks = writes(fmt, [("n", "generators", "e"), (1, streamed, 2)])
+            expected = TestCsvText.reference([("n", "generators", "e"), (1, " ".join(items), 2)])
+        assert len(chunks) > 1
+        assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize("empty", [[], cli._Batched([]), cli._Batched([[], []]),
+                                       cli._Batched([[]], arrays=True)],
+                             ids=["list", "no-batches", "empty-batches", "arrays"])
+    def test_empty_lists(self, empty):
+        assert json_text({"a": empty, "b": [empty]}) == '{"a": [], "b": [[]]}\n'
+        assert csv_text([("a", empty, "b")]) == "a,,b\r\n"
+        assert csv_text([(empty,)]) == '""\r\n'
+
+    def test_a_streamed_cell_that_needs_quoting_is_refused(self):
+        with pytest.raises(ValueError):
+            csv_text([("a", cli._Batched([["1"], ["2,3"]]))])
 
 
 class TestParserBuiltOnce:

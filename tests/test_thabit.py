@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -76,7 +77,7 @@ class TestGenerators:
 @example(300, 300)
 @example(3, 11)
 def test_generator_decimals_are_the_minimal_generators(n, k):
-    assert generator_decimals(n, k) == [str(g) for g in minimal_generating_set(n, k).gens]
+    assert list(generator_decimals(n, k)) == [str(g) for g in minimal_generating_set(n, k).gens]
 
 
 class TestDeltaAndDimension:
@@ -212,6 +213,20 @@ class TestMaxApery:
         assert time.perf_counter() - start < 1.0, "runtime budget 1 s"
         s0 = generator_at(n, k, 0)
         assert value % s0 == (s0 - (2**k - 1)) % s0     # the residue law
+
+    def test_takes_the_prefix_digit_sum_without_its_digits(self):
+        # GT(10^6, 1) has a prefix of 10^6 - 1 positions: a tuple of them
+        # would trace about 16 MB against an answer of about 250 kB
+        tracemalloc.start()
+        try:
+            value = max_apery(10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # k = 1: the top pattern t_n = t_(n+1) = 1 and an empty prefix
+        assert value == generator_at(10**6, 1, 10**6) + generator_at(10**6, 1, 10**6 + 1)
+        answer = (value.bit_length() + 7) // 8
+        assert peak < 4 * answer, (peak, answer)
 
     def test_fast_path(self):
         assert max_apery_fast_kltn(5, 3) == 81764
