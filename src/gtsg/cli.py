@@ -32,9 +32,14 @@ from . import thabit, verify
 from .oracle import SemigroupError, make_semigroup
 # by name: perfbench's tracer swaps cli.thabit for a namespace of its public
 # functions only
-from .thabit import _BATCH, _apery_decoded
+from .thabit import _apery_decoded
 
 DEFAULT_APERY_CAP = 1_000_000
+
+# what a command holds at once: apery's values a batch, and the characters
+# _write gathers before it writes (info's generators: about 80 kB a batch)
+_BATCH = 4096
+_FLUSH = 1 << 20
 
 
 class TooLarge(ValueError):
@@ -169,10 +174,6 @@ def _csv_batches(rows):
         yield '""\r\n' if empty else "\r\n"
 
 
-# _write gathers about this many characters before it writes
-_FLUSH = 1 << 20
-
-
 def _write(fmt: str, **builders) -> None:
     """Render a result in ``fmt`` and stream it to stdout: the one sink.
 
@@ -266,28 +267,29 @@ def cmd_apery(args) -> int:
     csv = args.format == "csv"
 
     # one thabit listing a command, made and checked inside the builder
-    # before its first batch: the values, and the coefficient sequences if
-    # printed, decoded a batch at a time straight into the builder's form
-    # (``form`` and ``sep`` as _apery_decoded takes them)
+    # before its first batch: the values, and if printed their codes and
+    # ``render``, which decodes a slice of codes straight into the
+    # builder's form (``form`` and ``sep`` as _apery_decoded takes them)
     def listing(form, sep):
         if not (args.with_coeffs or csv):
-            return thabit.apery_set_closed(n, k), None
+            return thabit.apery_set_closed(n, k), None, None
         return _apery_decoded(n, k, form, sep)
 
     def record():
         # each sequence already the items of its JSON array; the values go
         # as soon as they are written, before the sequences are decoded
-        values, coeffs = listing(_json_items, ", ")
+        values, codes, render = listing(_json_items, ", ")
         data = {"n": n, "k": k, "s0": s0, "apery": _Batched(_batches(values))}
-        if coeffs is not None:
-            data["coeffs"] = _Batched(coeffs, arrays=True)
+        if codes is not None:
+            data["coeffs"] = _Batched((render(codes[at:at + _BATCH])
+                                       for at in range(0, len(codes), _BATCH)), arrays=True)
         return data
 
     def lines():
-        # text and csv: a line a value, in batches of _BATCH values as
-        # _apery_decoded's; every cell is digits and spaces, which csv
-        # never quotes, so csv is rendered here as text is
-        values, coeffs = listing(_spaced, " ")
+        # text and csv: a line a value, _BATCH values and their codes a
+        # batch; every cell is digits and spaces, which csv never quotes,
+        # so csv is rendered here as text is
+        values, codes, render = listing(_spaced, " ")
         sep, end = (",", "\r\n") if csv else (" ", "\n")
         if csv:
             yield "residue,value,coeffs\r\n"
@@ -296,8 +298,8 @@ def cmd_apery(args) -> int:
             cells = [map(str, batch)]
             if csv:
                 cells.insert(0, map(str, map(s0.__rmod__, batch)))
-            if coeffs is not None:
-                cells.append(next(coeffs))
+            if codes is not None:
+                cells.append(render(codes[at:at + _BATCH]))
             yield [end.join(map(sep.join, zip(*cells))), end]
 
     _write("text" if csv else args.format, json=record, text=lines)
@@ -342,12 +344,12 @@ def cmd_oracle(args) -> int:
     if args.format == "csv":
         # Kept byte for byte while perfbench/checks.py parses it: no gens
         # column, and apery as the unquoted Python list repr.  Deleting this
-        # branch hands csv to the writer below.
+        # branch must add csv=lambda: _record_rows(data) to the _write below.
         keys = [key for key in data if key != "gens"]
         legacy = ",".join(keys) + "\n" + ",".join(str(data[key]) for key in keys) + "\n"
         _write("text", text=lambda: [legacy])
         return 0
-    _write(args.format, json=lambda: data, csv=lambda: _record_rows(data), text=text)
+    _write(args.format, json=lambda: data, text=text)
     return 0
 
 

@@ -122,9 +122,7 @@ def make_semigroup(gens) -> Semigroup:
         raise EmptyInput("at least one generator is required")
     if cleaned[0] < 1:
         raise EmptyInput("generators must be >= 1")
-    g = 0
-    for a in cleaned:
-        g = gcd(g, a)
+    g = gcd(*cleaned)
     if g != 1:
         raise GcdNotOne(f"gcd of generators is {g}, not 1")
     return Semigroup(tuple(cleaned))

@@ -31,19 +31,20 @@ set: a sequence is the bitmask of its 1s and the position of its single 2,
 the kept masks of each position form one run, and the values are read off
 a subset-sum table, sorted and checked once.  :func:`apery_set_closed`
 returns the values and :func:`apery_coeffs` ``(values, coeffs)``, the
-sequences decoded in the same order.  :func:`_apery_decoded` decodes the
-codes by two half tables, rendered once each in the caller's form (tuples
-for :func:`apery_coeffs`; the CLI's spaced text, or the items of a JSON
-array of digit strings), so a value's sequence is two lookups and one
-``+``, a batch of values at a time.  The spec-literal form, every valid
-tuple filtered by the per-case rules, is kept in the test suite as the
-reference for this one.
+sequences decoded in the same order.  :func:`_apery_decoded` returns the
+values, their codes and ``render``, which decodes any list of codes by two
+half tables, rendered once each in the caller's form (tuples for
+:func:`apery_coeffs`; the CLI's spaced text, or the items of a JSON array
+of digit strings), so a value's sequence is two lookups and one ``+``, as
+many values at once as the caller asks.  The spec-literal form, every
+valid tuple filtered by the per-case rules, is kept in the test suite as
+the reference for this one.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from itertools import chain, product
 from operator import lt
 
 from .oracle import Semigroup, make_semigroup
@@ -93,11 +94,7 @@ def embedding_dimension(n: int, k: int) -> int:
 
 def minimal_generating_set(n: int, k: int) -> Semigroup:
     """The minimal system of generators {s_0, ..., s_(n+delta)}."""
-    a, b = _affine(n, k)
-    gens = [a - b]
-    for _ in range(n + delta(n, k)):
-        gens.append(2 * gens[-1] + b)           # s_(i+1) = 2*s_i + B
-    return make_semigroup(gens)
+    return make_semigroup(generator_at(n, k, i) for i in range(n + delta(n, k) + 1))
 
 
 def generator_decimals(n: int, k: int):
@@ -336,23 +333,17 @@ def apery_set_closed(n: int, k: int) -> list[int]:
 
 def _bit_tuples(length: int) -> list[tuple[int, ...]]:
     """table[x] = (bit 0 of x, ..., bit length-1 of x)."""
-    table = [()]
-    for _ in range(length):
-        table = [t + (0,) for t in table] + [t + (1,) for t in table]
-    return table
+    return [t[::-1] for t in product((0, 1), repeat=length)]
 
 
-# values a batch, as _apery_decoded decodes them and the CLI writes them
-_BATCH = 4096
+def _apery_decoded(n: int, k: int, form, sep) -> tuple[list[int], list[int], object]:
+    """Ap(GT(n,k), s_0) ascending, the codes of its coefficient sequences
+    in the same order, and ``render``, which maps a list of codes to their
+    sequences (t_1, ..., t_m), each as ``form(low) + sep + form(high)``,
+    the low half t_1 .. t_h and the high half the rest.
 
-
-def _apery_decoded(n: int, k: int, form, sep) -> tuple[list[int], object]:
-    """Ap(GT(n,k), s_0) ascending and, in the same order, each value's
-    coefficient sequence (t_1, ..., t_m) rendered as ``form(low) + sep +
-    form(high)``, the low half t_1 .. t_h and the high half the rest.
-
-    The listing is made and checked at the call; the sequences come as an
-    iterator of lists, the i-th for ``values[i*_BATCH:(i+1)*_BATCH]``.
+    The listing is made and checked at the call; a code renders the same
+    whatever codes come with it, so the caller picks how many at once.
     ``form`` maps a tuple of digits to the caller's form and runs once a
     half-table entry, never once a value; ``sep`` is left out when the low
     half is empty (m = 1).  Each value is two lookups and one ``+``.
@@ -364,28 +355,29 @@ def _apery_decoded(n: int, k: int, form, sep) -> tuple[list[int], object]:
     low_mask = (1 << h) - 1
     full = (1 << m) - 1
 
-    def tables(half, offset, render):
+    def tables(half, offset, show):
         # per j = 0 .. m: the half rendered plain, or with the 2 at j
-        plain = [render(t) for t in half]
+        plain = [show(t) for t in half]
         out = []
         for j in range(m + 1):
             i = j - 1 - offset
-            out.append([render(t[:i] + (2,) + t[i + 1:]) for t in half]
+            out.append([show(t[:i] + (2,) + t[i + 1:]) for t in half]
                        if 0 <= i < len(half[0]) else plain)
         return out
 
     lows = tables(_bit_tuples(h), 0, lambda t: form(t) + sep if t else form(t))
     highs = tables(_bit_tuples(m - h), h, form)
-    return values, ([lows[c >> m][c & low_mask] + highs[c >> m][(c & full) >> h]
-                     for c in codes[at:at + _BATCH]]
-                    for at in range(0, len(codes), _BATCH))
+
+    def render(picked):
+        return [lows[c >> m][c & low_mask] + highs[c >> m][(c & full) >> h] for c in picked]
+    return values, codes, render
 
 
 def apery_coeffs(n: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """Ap(GT(n,k), s_0) as :func:`apery_set_closed` returns it, and in the
     same order each value's coefficient sequence (t_1, ..., t_m)."""
-    values, coeffs = _apery_decoded(n, k, tuple, ())
-    return values, list(chain.from_iterable(coeffs))
+    values, codes, render = _apery_decoded(n, k, tuple, ())
+    return values, render(codes)
 
 
 def _popcount_step(pops: int, prev: int, count: int) -> int:

@@ -4,7 +4,8 @@ For one point of every case and every format, with and without
 coefficients, the command must print exactly the bytes rendered from the
 tuple reference of ``spec_reference``, sorted by value, with values from
 ``coeff_value``.  At the edges of the CLI's table decoder it must print
-what ``apery_coeffs``'s tuples render to.
+what ``apery_coeffs``'s tuples render to.  Neither the decoder's sequences
+nor the command's bytes may depend on how many values go in a batch.
 """
 
 import csv
@@ -161,3 +162,28 @@ def test_a_repeated_value_fails_the_self_check(capsys, monkeypatch):
     assert cli.main(["apery", "--n", "3", "--k", "2", "--with-coeffs"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"gtsg: error: AssertionError: {message}\n")
+
+
+@pytest.mark.parametrize("form,sep", [(tuple, ()), (cli._spaced, " "), (cli._json_items, ", ")],
+                         ids=["tuple", "text", "json"])
+@pytest.mark.parametrize("n,k", [*POINTS.values(), (8, 8)])
+def test_rendered_sequences_do_not_depend_on_the_slices(n, k, form, sep):
+    values, codes, render = thabit._apery_decoded(n, k, form, sep)
+    whole = render(codes)
+    if form is tuple:
+        assert (values, whole) == apery_coeffs(n, k)
+    for size in (1, 7, 4096):
+        assert [seq for at in range(0, len(codes), size)
+                for seq in render(codes[at:at + size])] == whole, size
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_bytes_do_not_depend_on_the_batch_size(capsys, monkeypatch, fmt):
+    # 1000 does not divide s_0 = 65537, so the last batch is a short one
+    argv = ["apery", "--n", "8", "--k", "8", "--format", fmt, "--with-coeffs"]
+    assert cli._BATCH == 4096
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_BATCH", 1000)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out

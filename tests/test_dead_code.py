@@ -5,7 +5,8 @@ named somewhere in ``src/gtsg`` (by a Name or an Attribute node), be
 exported in ``gtsg.__all__`` or be the ``[project.scripts]`` entry point.
 Code that only the tests need lives in ``tests/spec_reference.py``.
 Every name a module other than ``__init__`` imports must be used in it,
-and no function of ``thabit`` calls itself.
+no function of ``thabit`` calls itself, and no module imports or reaches
+another module's private name but those in ``PRIVATE_ALLOWED``.
 """
 
 import ast
@@ -95,3 +96,54 @@ def test_no_recursion_in_the_closed_forms():
                      and call.func.id == node.name
                      for call in ast.walk(node))]
     assert not found, f"functions that call themselves: {found}"
+
+
+# (module, private name of another module it uses): why it must reach it
+PRIVATE_ALLOWED = {
+    ("cli", "thabit._apery_decoded"):
+        "perfbench's tracer swaps cli.thabit for a namespace of thabit's public "
+        "functions only, so cmd_apery imports the decoder by name",
+}
+
+
+def private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reaches(path):
+    """(module, "other._name") for each private name of another gtsg module
+    that the module at ``path`` imports, or reaches as an attribute of a
+    gtsg module it imported."""
+    here, tree = path.stem, ast.parse(path.read_text())
+    modules, found = {}, set()          # local name -> gtsg module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["gtsg" if node.level else "", node.module]))
+            if base == "gtsg":
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif base.startswith("gtsg."):
+                found |= {(here, f"{base[5:]}.{alias.name}")
+                          for alias in node.names if private(alias.name)}
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name[5:]) for alias in node.names
+                           if alias.asname and alias.name.startswith("gtsg."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.add((here, f"{modules[node.value.id]}.{node.attr}"))
+    return {(module, name) for module, name in found if name.split(".")[0] != module}
+
+
+def test_no_module_reaches_another_modules_private_names():
+    found = set().union(*map(private_reaches, sorted(SRC.glob("*.py"))))
+    allowed = set(PRIVATE_ALLOWED)
+    assert not found - allowed, f"private names reached: {found - allowed}"
+    assert allowed <= found, f"allowed but no longer reached: {allowed - found}"
+
+
+def test_private_reaches_sees_imports_and_attributes(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import thabit as t\nfrom .oracle import _apery_w, make_semigroup\n"
+                    "import gtsg.verify as v\nt._rule(1, 2)\nv._points\nt.__name__\n")
+    assert private_reaches(path) == {("mod", "oracle._apery_w"), ("mod", "thabit._rule"),
+                                     ("mod", "verify._points")}
