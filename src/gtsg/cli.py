@@ -14,9 +14,10 @@ Exit codes: 0 success / all match, 1 verification mismatch, 2 usage or
 input error or any other failure.  JSON output serializes every integer
 as a decimal string so consumers never lose precision; ``_json_batches``
 writes it byte for byte as the json module's ``dumps`` with sorted keys
-would, and ``_csv_batches`` CSV as Python's csv module's default dialect.
-A list of decimal strings goes out a batch at a time in C-level joins,
-with no per-item escaping or quoting.
+would.  Text and CSV builders write their own lines; a CSV row goes
+through ``_csv_line``, byte for byte as Python's csv module's default
+dialect writes it.  A list of decimal strings goes out a batch at a time
+in C-level joins, with no per-item escaping or quoting.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def _apery_cap() -> int:
 
 @dataclass
 class _Batched:
-    """A list as an iterable of batches (lists) of its items, written as
-    they come.  With ``arrays`` an item is the JSON text of an array's
-    items: ``[['"0", "1"', '"2"']]`` is written ``[["0", "1"], ["2"]]``."""
+    """A JSON list as an iterable of batches (lists) of its items, which
+    ``_json_batches`` writes as they come; text and CSV builders read the
+    batches themselves.  With ``arrays`` an item is the JSON text of an
+    array's items: ``[['"0", "1"', '"2"']]`` is written ``[["0", "1"], ["2"]]``."""
 
     batches: object
     arrays: bool = False
@@ -133,9 +135,9 @@ def _json_batches(obj):
 
 def _csv_cell(value) -> str:
     """One cell as ``csv.writer``'s default (excel) dialect writes it: None
-    is empty, a list its items' ``str()`` joined by spaces, any other value
-    its ``str()``; a cell holding ``,``, ``"``, CR or LF is quoted with its
-    ``"`` doubled."""
+    is empty, a list (such as ``oracle``'s ``gens``) its items' ``str()``
+    joined by spaces, any other value its ``str()``; a cell holding ``,``,
+    ``"``, CR or LF is quoted with its ``"`` doubled."""
     if isinstance(value, list):
         value = " ".join(map(str, value))
     cell = "" if value is None else str(value)
@@ -154,24 +156,12 @@ def _spaced_batches(batches):
         yield " ".join(batch)
 
 
-def _csv_batches(rows):
-    """What ``csv.writer(buf).writerows(rows)`` writes, as batches: cells as
-    ``_csv_cell`` writes them, a row of one empty cell as ``""``, "\r\n"
-    after each row.  A ``_Batched`` cell goes out a batch at a time, its
-    str items with " " between them, and must need no quoting."""
-    for row in map(tuple, rows):
-        empty = len(row) == 1
-        for i, value in enumerate(row):
-            cells = (_spaced_batches(value.batches) if type(value) is _Batched
-                     else [_csv_cell(value)])
-            if i:
-                yield ","
-            for cell in cells:
-                if type(value) is _Batched and _csv_cell(cell) != cell:
-                    raise ValueError(f"a streamed CSV cell needs quoting: {cell[:40]!r}")
-                empty = empty and not cell
-                yield cell
-        yield '""\r\n' if empty else "\r\n"
+def _csv_line(cells) -> str:
+    """What ``csv.writer(buf).writerow(cells)`` writes: each cell as
+    ``_csv_cell`` writes it, "," between them, "\r\n" after; a row of one
+    empty cell is written ``""``.  ``cells`` is a sized collection."""
+    line = ",".join(map(_csv_cell, cells))
+    return '""\r\n' if not line and len(cells) == 1 else line + "\r\n"
 
 
 def _write(fmt: str, **builders) -> None:
@@ -179,11 +169,11 @@ def _write(fmt: str, **builders) -> None:
 
     ``builders`` maps each format to a function of no arguments, and only
     the one for ``fmt`` runs: ``json`` returns an object, written by
-    ``_json_batches``; ``csv`` rows, written by ``_csv_batches``; ``text``
-    its batches, each a str or a list of str pieces.  A batch is joined
-    once, and written once about 1 MiB has gathered.
+    ``_json_batches``; ``text`` and ``csv`` their batches of text, each a
+    str or a list of str pieces (a CSV row through ``_csv_line``).  A
+    batch is joined once, and written once about 1 MiB has gathered.
     """
-    render = {"json": _json_batches, "csv": _csv_batches}.get(fmt, iter)
+    render = _json_batches if fmt == "json" else iter
     held, size = [], 0
     for batch in render(builders[fmt]()):
         held.append(batch if type(batch) is str else "".join(batch))
@@ -203,11 +193,6 @@ def _spaced(values) -> str:
 def _json_items(digits) -> str:
     """Digits as the items of a JSON array of decimal strings."""
     return ", ".join(map('"{}"'.format, digits))
-
-
-def _record_rows(data: dict) -> list:
-    """A record as csv rows: its keys, then its values."""
-    return [list(data), list(data.values())]
 
 
 def cmd_info(args) -> int:
@@ -247,7 +232,14 @@ def cmd_info(args) -> int:
                f"F = {data['frobenius']}\n"
                f"genus = {genus}\n")
 
-    _write(args.format, json=lambda: data, csv=lambda: _record_rows(data), text=text)
+    def table():
+        # the header, n, k, the generators as they are made (digits and
+        # spaces, which csv never quotes), then the fields after them
+        yield [_csv_line(data), f"{n},{k},"]
+        yield from _spaced_batches(gens.batches)
+        yield [",", _csv_line(list(data.values())[3:])]
+
+    _write(args.format, json=lambda: data, csv=table, text=text)
     return 0
 
 
@@ -288,7 +280,7 @@ def cmd_apery(args) -> int:
     def lines():
         # text and csv: a line a value, _BATCH values and their codes a
         # batch; every cell is digits and spaces, which csv never quotes,
-        # so csv is rendered here as text is
+        # so a csv line is joined here as a text line is
         values, codes, render = listing(_spaced, " ")
         sep, end = (",", "\r\n") if csv else (" ", "\n")
         if csv:
@@ -302,15 +294,15 @@ def cmd_apery(args) -> int:
                 cells.append(render(codes[at:at + _BATCH]))
             yield [end.join(map(sep.join, zip(*cells))), end]
 
-    _write("text" if csv else args.format, json=record, text=lines)
+    _write(args.format, json=record, csv=lines, text=lines)
     return 0
 
 
 def cmd_frobenius(args) -> int:
     value = thabit.frobenius_closed(args.n, args.k)
     data = {"n": args.n, "k": args.k, "frobenius": value}
-    _write(args.format, json=lambda: data, csv=lambda: _record_rows(data),
-           text=lambda: [f"F = {value}\n"])
+    _write(args.format, json=lambda: data, text=lambda: [f"F = {value}\n"],
+           csv=lambda: map(_csv_line, (data, data.values())))
     return 0
 
 
@@ -318,7 +310,13 @@ def cmd_oracle(args) -> int:
     what = args.what
     if args.x is not None and what not in ("apery", "membership"):
         raise ValueError("--x applies only to apery and membership")
-    gens = make_semigroup(int(x) for x in args.gens.split(","))
+
+    def number(item):
+        try:
+            return int(item)
+        except ValueError:
+            raise ValueError(f"--gens item {item!r} is not an integer") from None
+    gens = make_semigroup(map(number, args.gens.split(",")))
     # every table is taken mod the smallest generator, and apery's mod --x too
     modulus = gens.gens[0]
     if what == "apery" and args.x is not None:
@@ -341,15 +339,13 @@ def cmd_oracle(args) -> int:
         member = gens.is_member(args.x)
         data = {"gens": list(gens.gens), "x": args.x, "member": member}
         text = lambda: ["member\n" if member else "not-member\n"]
-    if args.format == "csv":
-        # Kept byte for byte while perfbench/checks.py parses it: no gens
-        # column, and apery as the unquoted Python list repr.  Deleting this
-        # branch must add csv=lambda: _record_rows(data) to the _write below.
-        keys = [key for key in data if key != "gens"]
-        legacy = ",".join(keys) + "\n" + ",".join(str(data[key]) for key in keys) + "\n"
-        _write("text", text=lambda: [legacy])
-        return 0
-    _write(args.format, json=lambda: data, text=text)
+    # Kept byte for byte while perfbench/checks.py parses it: no gens
+    # column, and apery as the unquoted Python list repr.  Once that check
+    # reads real CSV, this builder becomes
+    # lambda: [_csv_line(data), _csv_line(data.values())].
+    keys = [key for key in data if key != "gens"]
+    legacy = lambda: [",".join(keys), "\n", ",".join(str(data[key]) for key in keys), "\n"]
+    _write(args.format, json=lambda: data, csv=legacy, text=text)
     return 0
 
 
@@ -380,7 +376,7 @@ def cmd_verify(args) -> int:
                    *(f" [{note}]" for note in notes(p)), "\n"]
         yield f"{report.total} points, {len(report.mismatched)} mismatched\n"
 
-    _write(args.format, json=record, csv=rows, text=text)
+    _write(args.format, json=record, csv=lambda: map(_csv_line, rows()), text=text)
     return 0 if report.ok else 1
 
 

@@ -243,6 +243,13 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err == "gtsg: error: --x applies only to apery and membership\n"
 
+    @pytest.mark.parametrize("gens", ["7,,11", "7,x", "7,1.5"])
+    def test_malformed_gens_names_the_option(self, capsys, gens):
+        code, out, err = run(capsys, "oracle", "frobenius", "--gens", gens)
+        item = gens.split(",")[1]
+        assert (code, out) == (2, "")
+        assert err == f"gtsg: error: --gens item {item!r} is not an integer\n"
+
     @pytest.mark.parametrize("spelling", [("--gens", "-3,5"), ("--gens=-3,5",)])
     def test_negative_generator_exits_2(self, capsys, spelling):
         # argparse would read "-3,5" after --gens as an option
@@ -450,9 +457,9 @@ class TestUsageErrors:
         assert "unrecognized arguments: --force" in captured.err
 
 
-def writes(fmt, built):
-    """The strings the one sink hands to stdout for ``built``, the value
-    that a ``fmt`` builder returns, one a write."""
+def stdout_writes(call):
+    """What ``call()`` returns, and the strings it hands to stdout, one a
+    write."""
     chunks = []
 
     class Out(io.TextIOBase):
@@ -461,8 +468,14 @@ def writes(fmt, built):
             return len(text)
 
     with contextlib.redirect_stdout(Out()):
-        cli._write(fmt, **{fmt: lambda: built})
-    return chunks
+        result = call()
+    return result, chunks
+
+
+def writes(fmt, built):
+    """The strings the one sink hands to stdout for ``built``, the value
+    that a ``fmt`` builder returns, one a write."""
+    return stdout_writes(lambda: cli._write(fmt, **{fmt: lambda: built}))[1]
 
 
 def sink(fmt, built):
@@ -470,7 +483,7 @@ def sink(fmt, built):
 
 
 def csv_text(rows):
-    return sink("csv", rows)
+    return sink("csv", map(cli._csv_line, map(tuple, rows)))
 
 
 def json_text(obj):
@@ -484,8 +497,9 @@ def _cell_values():
 
 
 class TestCsvText:
-    """The sink writes rows as csv.writer's default dialect does; a list
-    cell is its items joined by spaces, quoted as any cell."""
+    """Rows through _csv_line and the sink come out as csv.writer's default
+    dialect writes them; a list cell is its items joined by spaces, quoted
+    as any cell."""
 
     @staticmethod
     def reference(rows):
@@ -789,32 +803,79 @@ class TestSinkBoundaries:
         assert len(chunks) > 1 and '"300000' not in chunks[0]
         assert "".join(chunks) == self.dumps(obj)
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_streamed_items_straddle_a_write(self, fmt):
+    def test_streamed_items_straddle_a_write(self):
         # about 2 MB of decimal strings in batches of 7, as info writes its
         # generators
         items = [str(7 ** i) for i in range(1, 2200)]
         streamed = cli._Batched(cli._batches(items, 7))
-        if fmt == "json":
-            chunks = writes(fmt, {"generators": streamed, "n": 1})
-            expected = self.dumps({"generators": items, "n": 1})
-        else:
-            chunks = writes(fmt, [("n", "generators", "e"), (1, streamed, 2)])
-            expected = TestCsvText.reference([("n", "generators", "e"), (1, " ".join(items), 2)])
+        chunks = writes("json", {"generators": streamed, "n": 1})
         assert len(chunks) > 1
-        assert "".join(chunks) == expected
+        assert "".join(chunks) == self.dumps({"generators": items, "n": 1})
 
     @pytest.mark.parametrize("empty", [[], cli._Batched([]), cli._Batched([[], []]),
                                        cli._Batched([[]], arrays=True)],
                              ids=["list", "no-batches", "empty-batches", "arrays"])
     def test_empty_lists(self, empty):
         assert json_text({"a": empty, "b": [empty]}) == '{"a": [], "b": [[]]}\n'
-        assert csv_text([("a", empty, "b")]) == "a,,b\r\n"
-        assert csv_text([(empty,)]) == '""\r\n'
+        if type(empty) is list:     # a _Batched list is JSON only
+            assert csv_text([("a", empty, "b")]) == "a,,b\r\n"
+            assert csv_text([(empty,)]) == '""\r\n'
 
-    def test_a_streamed_cell_that_needs_quoting_is_refused(self):
-        with pytest.raises(ValueError):
-            csv_text([("a", cli._Batched([["1"], ["2,3"]]))])
+
+class TestCsvMatchesJson:
+    """A command's CSV, read back by csv.reader, holds what its JSON record
+    holds, field by field: a list as its items joined by spaces, null as
+    an empty cell."""
+
+    @staticmethod
+    def read(capsys, *argv):
+        """The CSV rows of a command, the stdout writes that carried them,
+        and its JSON record; both formats exit alike."""
+        status, chunks = stdout_writes(lambda: cli.main([*argv, "--format", "csv"]))
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (status, "")
+        limit = csv.field_size_limit(sys.maxsize)   # info's generators cell
+        try:
+            rows = list(csv.reader(io.StringIO("".join(chunks), newline="")))
+        finally:
+            csv.field_size_limit(limit)
+        return rows, chunks, json.loads(out)
+
+    @staticmethod
+    def cells(record):
+        return {key: " ".join(value) if isinstance(value, list) else
+                "" if value is None else value for key, value in record.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ("info", "--n", "1", "--k", "2"),
+        ("info", "--n", "20", "--k", "3"),
+        ("frobenius", "--n", "5", "--k", "3"),
+    ], ids=" ".join)
+    def test_one_record(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("GTSG_S0_CAP", raising=False)   # (20, 3) skips the genus
+        (header, values), _, record = self.read(capsys, *argv)
+        assert len(header) == len(values) == len(record)
+        assert dict(zip(header, values)) == self.cells(record)
+
+    def test_info_generators_past_a_write(self, capsys):
+        # about 5.5 MB, nearly all of it the generators cell
+        (header, values), chunks, record = self.read(capsys, "info", "--n", "2000",
+                                                     "--k", "1500")
+        assert len(chunks) > 1
+        assert len(header) == len(values) == len(record)
+        assert dict(zip(header, values)) == self.cells(record)
+
+    def test_verify_with_a_quoted_detail(self, capsys, monkeypatch):
+        TestVerify.short_at_1_1(monkeypatch)
+        (header, *rows), chunks, record = self.read(
+            capsys, "verify", "--n-max", "1", "--k-max", "2", "--s0-max", "1000",
+            "--jobs", "1")
+        assert '"apery_set: closed=closed Apery set for (1,1) has 4 values' in "".join(chunks)
+        assert [dict(zip(header, row)) for row in rows] == [
+            {"n": p["n"], "k": p["k"], "s0": p["s0"], "status": p["status"],
+             "detail": "; ".join(f"{m['field']}: closed={m['closed_value']} "
+                                 f"oracle={m['oracle_value']}" for m in p["mismatches"])}
+            for p in record["points"]]
 
 
 class TestParserBuiltOnce:

@@ -11,6 +11,7 @@ as it is.  When an output is meant to change, rewrite the table with
     PYTHONPATH=src python tests/test_output_digests.py --write
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -80,6 +81,23 @@ def test_every_output_matches_its_digest(monkeypatch):
     changed = [(row["argv"], got)
                for row, got in zip(table, map(digests, commands())) if got != row]
     assert not changed, changed
+
+
+def test_the_table_covers_every_builder():
+    # a builder is one subcommand, and for oracle one ``what``, in one
+    # format; it runs only on a command that exits 0
+    from gtsg import cli
+
+    sub = next(action for action in cli._PARSER._actions
+               if isinstance(action, argparse._SubParsersAction))
+    whats = next(action.choices for action in sub.choices["oracle"]._actions
+                 if action.dest == "what")
+    wanted = {(name, what, fmt) for name in sub.choices for fmt in FORMATS
+              for what in (whats if name == "oracle" else [None])}
+    ran = [cli._PARSER.parse_args(cli._glue_gens(row["argv"].split()))
+           for row in json.loads(TABLE.read_text()) if row["status"] == 0]
+    covered = {(args.command, getattr(args, "what", None), args.format) for args in ran}
+    assert wanted - covered == set()
 
 
 if __name__ == "__main__":
