@@ -5,13 +5,15 @@ genus and minimal generators are computed from the generator list alone, so
 this module doubles as the ground-truth oracle for the closed forms in
 ``gtsg.thabit``.
 
-All values are plain Python ints (arbitrary precision).
+All values are plain Python ints (arbitrary precision).  The round robin
+works in floats where that is exact, and returns ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
 
@@ -140,12 +142,22 @@ def _apery_w(gens: tuple[int, ...], x: int) -> tuple[int, ...]:
     generator b at a time, in ascending order.  Adding b joins the residues
     into gcd(b, x) cycles r -> r + b (mod x); one lap round each cycle from
     its least entry, carrying n = min(n + b, w[r]), gives the table of the
-    larger semigroup.
+    larger semigroup.  A step reads w[r] once.
+
+    The entries are floats when inf + max(gens) < 2^53, and ints otherwise;
+    the table is returned as ints either way.  Every n a lap forms is a
+    table entry plus at most one generator, so at most inf + max(gens), and
+    below 2^53 every such sum, comparison, ``min``, ``index`` and ``inf in
+    w`` is exact in a float.  CPython adds and compares floats faster than
+    ints of more than 30 bits.
     """
+    top = max(gens)
     # every entry is a sum of at most x - 1 generators, so none reaches this
-    inf = x * max(gens)
+    inf = x * top
+    num = float if inf + top < 2**53 else int
+    inf = num(inf)
     w = [inf] * x
-    w[0] = 0
+    w[0] = num(0)
     for b in sorted(gens):
         bm = b % x
         # b = 0 (mod x), or b already in the semigroup: nothing to relax
@@ -153,6 +165,7 @@ def _apery_w(gens: tuple[int, ...], x: int) -> tuple[int, ...]:
             continue
         d = gcd(bm, x)
         step = bm - x
+        b = num(b)
         for p in range(d):
             if p:
                 cycle = w[p::d]
@@ -162,17 +175,19 @@ def _apery_w(gens: tuple[int, ...], x: int) -> tuple[int, ...]:
                 r = p + cycle.index(n) * d
             else:
                 # w[0] = 0 is the least entry of the cycle through 0
-                n = r = 0
-            for _ in range(x // d - 1):
+                n = w[0]
+                r = 0
+            for _ in repeat(None, x // d - 1):
                 r += step
                 if r < 0:
                     r += x
                 n += b
-                if n < w[r]:
+                v = w[r]
+                if n < v:
                     w[r] = n
                 else:
-                    n = w[r]
+                    n = v
     # gcd(gens) = 1 makes every residue reachable
     if inf in w:
         raise AssertionError("a residue has no semigroup element")
-    return tuple(w)
+    return tuple(w) if num is int else tuple(map(int, w))

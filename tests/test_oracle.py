@@ -7,6 +7,8 @@ shortest paths, ``spec_reference.apery_w_dijkstra``.
 """
 
 import importlib.util
+import json
+import sys
 from functools import reduce
 from math import gcd
 from pathlib import Path
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import gtsg
 import gtsg.cli
-from gtsg import oracle
+from gtsg import oracle, thabit
 from gtsg.oracle import (
     EmptyInput,
     GcdNotOne,
@@ -25,7 +27,7 @@ from gtsg.oracle import (
     ZeroModulus,
     make_semigroup,
 )
-from gtsg.verify import verify_grid
+from gtsg.verify import grid_points, verify_grid
 from spec_reference import apery_w_dijkstra, gaps
 
 
@@ -214,6 +216,87 @@ class TestOneTable:
         assert (calls, residues) == (1, 7)
 
 
+def built_in(gens, x):
+    """The table of (gens, x) and the type of number the round robin built
+    it in, read from ``oracle._apery_w``'s list ``w`` as the build returns."""
+    code = oracle._apery_w.__wrapped__.__code__
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            seen.append(type(frame.f_locals["w"][0]))
+
+    oracle._apery_w.cache_clear()
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        table = oracle._apery_w(gens, x)
+    finally:
+        sys.setprofile(before)
+    assert len(seen) == 1
+    return table, seen[0]
+
+
+# Every n a lap forms is at most inf + max(gens) = (x + 1) * max(gens), so
+# the table is built in floats exactly when that is below 2^53.
+FLOAT_TOP = 2**53 - 1
+BOUNDARY = [
+    # (x + 1) * max(gens) = 6361 * 1416003655831 = 2^53 - 1
+    pytest.param((6360, FLOAT_TOP // 6361), 6360, float, id="2^53-1"),
+    # 4096 * 2^41 = 2^53
+    pytest.param((4095, 2**41), 4095, int, id="2^53"),
+    # 321 * 28059810762433 = 2^53 + 1
+    pytest.param((320, (2**53 + 1) // 321), 320, int, id="2^53+1"),
+]
+
+
+class TestFloatBoundary:
+    """The round robin works in floats only while every sum it forms is
+    exact, and every table it returns holds ints on either path."""
+
+    @pytest.mark.parametrize("gens, x, kind", BOUNDARY)
+    def test_boundary_tables_are_exact_ints(self, gens, x, kind):
+        assert (x + 1) * max(gens) - 2**53 in (-1, 0, 1)
+        table, built = built_in(gens, x)
+        assert built is kind
+        assert table == apery_w_dijkstra(gens, x)
+        assert all(type(v) is int for v in table)
+        # with x and one generator the laps run up to within two
+        # generators of 2^53
+        assert max(table) + 2 * max(gens) in (2**53 - 1, 2**53, 2**53 + 1)
+
+    def test_a_modulus_given_by_x(self, capsys):
+        # 6360 = 2000 + 4360 is no generator: the table `oracle apery --x`
+        # asks for, on the float side of the bound
+        gens, x = (2000, 4360, FLOAT_TOP // 6361), 6360
+        table, built = built_in(gens, x)
+        assert built is float
+        assert table == apery_w_dijkstra(gens, x)
+        assert all(type(v) is int for v in table)
+        semigroup = make_semigroup(gens)
+        assert semigroup.apery_set(x).w == table
+        argv = ["oracle", "apery", "--gens", ",".join(map(str, gens)),
+                "--x", str(x), "--format", "json"]
+        assert gtsg.cli.main(argv) == 0
+        # the JSON writer writes ints as quoted decimal strings
+        out = json.loads(capsys.readouterr().out)["apery"]
+        assert out == [str(v) for v in sorted(table)]
+
+    def test_the_verify_grid_takes_floats_and_wide_lists_ints(self):
+        # the largest table of the benchmark's verify sweep (s_0 <= 60000)
+        largest = max((thabit.minimal_generating_set(n, k).gens
+                       for n, k in grid_points(s0_max=60_000)),
+                      key=lambda gens: gens[0] * gens[-1])
+        assert largest[0] * largest[-1] > 10**14
+        assert built_in(largest, largest[0])[1] is float
+        # an oracle list whose smallest generator times its largest passes
+        # 2^62, as three in four of the benchmark's generic lists do
+        wide = (1009, 2**52 + 3, 2**62 // 1009 + 11)
+        table, built = built_in(wide, 1009)
+        assert built is int
+        assert table == apery_w_dijkstra(wide, 1009)
+
+
 gen_lists = st.lists(st.integers(min_value=1, max_value=120),
                      min_size=1, max_size=6)
 
@@ -289,6 +372,7 @@ def test_round_robin_matches_dijkstra_and_sieve(case):
     table = oracle._apery_w(gens, x)
     assert table == apery_w_dijkstra(gens, x)
     assert list(table) == brute_apery(gens, x, max(table))
+    assert all(type(v) is int for v in table)
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,4 +384,6 @@ def test_round_robin_matches_dijkstra_on_wide_lists(m, wide, times):
     gens = tuple(sorted({m, *wide}))
     assume(reduce(gcd, gens) == 1)
     x = m * times or 1
-    assert oracle._apery_w(gens, x) == apery_w_dijkstra(gens, x)
+    table = oracle._apery_w(gens, x)
+    assert table == apery_w_dijkstra(gens, x)
+    assert all(type(v) is int for v in table)
