@@ -16,8 +16,13 @@ as a decimal string so consumers never lose precision; ``_json_batches``
 writes it byte for byte as the json module's ``dumps`` with sorted keys
 would.  Text and CSV builders write their own lines; a CSV row goes
 through ``_csv_line``, byte for byte as Python's csv module's default
-dialect writes it.  A list of decimal strings goes out a batch at a time
-in C-level joins, with no per-item escaping or quoting.
+dialect writes it.  A batch of ints (``apery``'s lines, ``oracle
+apery``'s text, which streams, a JSON list of ints) is written by one
+``%`` call over a template repeated once a row, which writes each number's
+digits as ``str()`` does, under the same digit limit, without making a str
+of it.  A list of decimal strings goes out a batch at a time in C-level
+joins, with no per-item escaping or quoting once one check finds only 0-9
+in the batch.
 """
 
 from __future__ import annotations
@@ -88,10 +93,12 @@ def _digits_only(items) -> bool:
 def _json_batches(obj):
     """What the json module's ``dumps(obj, sort_keys=True)`` writes, as
     batches, with every int (not bool) a decimal string; dict keys must be
-    str.  A list, tuple or ``_Batched`` goes out a batch at a time, and a
-    batch of ints or of strings holding only 0-9 goes in with ``", "``
-    quotes between its items and no escaping; any other batch goes item by
-    item, any other string through ``encode_basestring_ascii``.
+    str.  A list, tuple or ``_Batched`` goes out a batch at a time.  A batch
+    whose items are all exactly ``int`` is one ``'"%d", "%d", ...'`` format
+    call; a batch of strings that one check finds hold only 0-9 is joined
+    with ``", "`` quotes between its items and no escaping; any other batch,
+    such as one mixing ints with strings or bools, goes item by item, any
+    other string through ``encode_basestring_ascii``.
     """
     if isinstance(obj, str):
         yield _json_str(obj)
@@ -112,22 +119,25 @@ def _json_batches(obj):
         yield "}" if pre == ", " else "{}"
     elif isinstance(obj, (list, tuple, _Batched)):
         arrays = type(obj) is _Batched and obj.arrays
+        head, sep, tail = ("[", "], [", "]") if arrays else ('"', '", "', '"')
         pre = "["
         for batch in obj.batches if type(obj) is _Batched else _batches(obj):
             kinds = set(map(type, batch))
-            if int in kinds and kinds <= {int, str}:
-                batch, kinds = list(map(str, batch)), {str}
-            if batch and (arrays or kinds == {str} and _digits_only(batch)):
-                # nothing to escape: the items joined in as they are, and let go
-                head, sep, tail = ("[", "], [", "]") if arrays else ('"', '", "', '"')
+            if kinds == {int} and not arrays:
+                # one % call writes every item's digits, with no str an item
+                batch = (("%d" + sep) * (len(batch) - 1) + "%d") % tuple(batch)
+            elif batch and (arrays or kinds == {str} and _digits_only(batch)):
+                # nothing to escape: the items joined in as they are
                 batch = sep.join(batch)
-                yield from (pre + head, batch, tail)
-                pre = ", "
+            else:
+                for item in batch:
+                    yield pre
+                    yield from _json_batches(item)
+                    pre = ", "
                 continue
-            for item in batch:
-                yield pre
-                yield from _json_batches(item)
-                pre = ", "
+            # the items' text replaced the batch, which is let go
+            yield from (pre + head, batch, tail)
+            pre = ", "
         yield "]" if pre == ", " else "[]"
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -280,19 +290,26 @@ def cmd_apery(args) -> int:
     def lines():
         # text and csv: a line a value, _BATCH values and their codes a
         # batch; every cell is digits and spaces, which csv never quotes,
-        # so a csv line is joined here as a text line is
+        # so a csv line is formatted here as a text line is
         values, codes, render = listing(_spaced, " ")
-        sep, end = (",", "\r\n") if csv else (" ", "\n")
         if csv:
             yield "residue,value,coeffs\r\n"
+            line = "%d,%d,%s\r\n"
+        else:
+            line = "%d\n" if codes is None else "%d %s\n"
+        ncols = line.count("%")
         for at in range(0, len(values), _BATCH):
             batch = values[at:at + _BATCH]
-            cells = [map(str, batch)]
+            cells = [batch]
             if csv:
-                cells.insert(0, map(str, map(s0.__rmod__, batch)))
+                cells.insert(0, map(s0.__rmod__, batch))
             if codes is not None:
                 cells.append(render(codes[at:at + _BATCH]))
-            yield [end.join(map(sep.join, zip(*cells))), end]
+            # the cells row by row, in one % call that writes the digits
+            flat = [None] * (ncols * len(batch))
+            for i, column in enumerate(cells):
+                flat[i::ncols] = column
+            yield (line * len(batch)) % tuple(flat)
 
     _write(args.format, json=record, csv=lines, text=lines)
     return 0
@@ -326,7 +343,15 @@ def cmd_oracle(args) -> int:
         table = gens.apery_set(args.x)
         values = sorted(table.w)
         data = {"gens": list(gens.gens), "modulus": table.modulus, "apery": values}
-        text = lambda: [_spaced(values), "\n"]
+
+        def text():
+            # " " between the values, one % call a batch of them
+            lead = "%d"
+            for at in range(0, len(values), _BATCH):
+                batch = values[at:at + _BATCH]
+                yield (lead + " %d" * (len(batch) - 1)) % tuple(batch)
+                lead = " %d"
+            yield "\n"
     elif what == "frobenius":
         data = {"gens": list(gens.gens), "frobenius": gens.frobenius()}
         text = lambda: [f"{data['frobenius']}\n"]

@@ -177,10 +177,16 @@ def test_rendered_sequences_do_not_depend_on_the_slices(n, k, form, sep):
                 for seq in render(codes[at:at + size])] == whole, size
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_bytes_do_not_depend_on_the_batch_size(capsys, monkeypatch, fmt):
-    # 1000 does not divide s_0 = 65537, so the last batch is a short one
-    argv = ["apery", "--n", "8", "--k", "8", "--format", fmt, "--with-coeffs"]
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(f"apery --n 8 --k 8 --format {fmt} --with-coeffs".split(), id=fmt)
+      for fmt in ("text", "csv", "json")),
+    *(f"apery --n 8 --k 8 --format {fmt}".split() for fmt in ("text", "json")),
+    *(f"oracle apery --gens 5003,5011,7919 --format {fmt}".split()
+      for fmt in ("text", "csv", "json")),
+], ids=" ".join)
+def test_bytes_do_not_depend_on_the_batch_size(capsys, monkeypatch, argv):
+    # 1000 divides neither s_0 = 65537 nor the modulus 5003, so the last
+    # batch is a short one
     assert cli._BATCH == 4096
     assert cli.main(argv) == 0
     out = capsys.readouterr().out

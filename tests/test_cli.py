@@ -651,8 +651,12 @@ class TestJsonText:
 
     @pytest.mark.parametrize("tail", ["\u00b2", "\u0663", '"', "\\", "\x00", "\x7f", "\ud800",
                                       "-1", "", "12", -1, 12, True, None])
-    @pytest.mark.parametrize("head", [255, 256, 600])
+    @pytest.mark.parametrize("head", [255, 256, 600,
+                                      cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
     def test_one_item_past_a_chunk_of_digits(self, head, tail):
+        # at _BATCH - 1 the tail ends the first batch; at _BATCH it is the
+        # second batch, alone; at _BATCH + 1 it follows one int or digit
+        # string there
         for obj in ([str(i) for i in range(head)] + [tail], list(range(head)) + [tail]):
             assert json_text(obj) == self.reference(obj)
 
@@ -747,6 +751,14 @@ class TestProcessFootprint:
         text = self.peak_rss_kb(*argv, "text")
         table = self.peak_rss_kb(*argv, "csv")
         assert table <= 1.10 * text, (table, text)
+
+    def test_oracle_apery_text_peaks_within_a_few_mb_of_json(self):
+        # 300007 table values: text goes out a batch at a time, as JSON
+        # does, rather than as one line of 3.6 MB and a str a value
+        argv = ("oracle", "apery", "--gens", "300007,300008", "--format")
+        text = self.peak_rss_kb(*argv, "text")
+        record = self.peak_rss_kb(*argv, "json")
+        assert text - record < 3 * 1024, (text, record)
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_info_peak_does_not_grow_with_its_output(self, fmt):

@@ -4,9 +4,10 @@ digest.
 ``output_digests.json`` holds, for each command line below, the exit
 status and the SHA-256 of its stdout and of its stderr, as written by
 ``cli.main``.  The set covers every subcommand and format, ``apery`` with
-and without ``--with-coeffs``, usage and cap errors, and outputs past
-1 MiB.  A change to how output is built or written must leave every digest
-as it is.  When an output is meant to change, rewrite the table with
+and without ``--with-coeffs``, an ``oracle apery`` table longer than one
+batch, usage and cap errors, and outputs past 1 MiB.  A change to how
+output is built or written must leave every digest as it is.  When an
+output is meant to change, rewrite the table with
 
     PYTHONPATH=src python tests/test_output_digests.py --write
 """
@@ -43,6 +44,8 @@ def commands() -> list[list[str]]:
                 ["frobenius", "--n", "3", "--k", "9000", *f]]
         out += [["oracle", "apery", "--gens", "7,11,13", *f],
                 ["oracle", "apery", "--gens", "7,11,13", "--x", "11", *f],
+                # a modulus past one batch of _BATCH values
+                ["oracle", "apery", "--gens", "5003,5011,7919", *f],
                 ["oracle", "frobenius", "--gens", "7,11,13", *f],
                 ["oracle", "genus", "--gens", "37,77,157", *f],
                 ["oracle", "membership", "--gens", "7,11,13", "--x", "30", *f],
