@@ -20,9 +20,9 @@ dialect writes it.  A batch of ints (``apery``'s lines, ``oracle
 apery``'s text, which streams, a JSON list of ints) is written by one
 ``%`` call over a template repeated once a row, which writes each number's
 digits as ``str()`` does, under the same digit limit, without making a str
-of it.  A list of decimal strings goes out a batch at a time in C-level
-joins, with no per-item escaping or quoting once one check finds only 0-9
-in the batch.
+of it.  A JSON list a command makes as it goes, such as ``info``'s
+generators, is an iterator of its batches, each already its items' JSON
+text where the command knows that they need no escaping.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -66,39 +66,22 @@ def _apery_cap() -> int:
     raise ValueError(f"GTSG_S0_CAP must be a non-negative integer, got {env!r}")
 
 
-@dataclass
-class _Batched:
-    """A JSON list as an iterable of batches (lists) of its items, which
-    ``_json_batches`` writes as they come; text and CSV builders read the
-    batches themselves.  With ``arrays`` an item is the JSON text of an
-    array's items: ``[['"0", "1"', '"2"']]`` is written ``[["0", "1"], ["2"]]``."""
-
-    batches: object
-    arrays: bool = False
-
-
-def _batches(items, size: int = _BATCH):
-    """``items`` in lists of ``size``, the last one shorter."""
+def _batches(items, size: int = 0):
+    """``items`` in lists of ``size`` (else ``_BATCH`` as it is when read),
+    the last one shorter."""
     items = iter(items)
-    return iter(lambda: list(islice(items, size)), [])
-
-
-def _digits_only(items) -> bool:
-    """Whether every str in ``items`` holds only 0-9, by a table lookup a
-    byte of their join, where ``str.isdigit`` takes each character's class."""
-    chunk = "".join(items)
-    return chunk.isascii() and not chunk.encode().translate(None, b"0123456789")
+    return iter(lambda: list(islice(items, size or _BATCH)), [])
 
 
 def _json_batches(obj):
-    """What the json module's ``dumps(obj, sort_keys=True)`` writes, as
+    """What the json module's ``dumps(obj, sort_keys=True)`` writes, as str
     batches, with every int (not bool) a decimal string; dict keys must be
-    str.  A list, tuple or ``_Batched`` goes out a batch at a time.  A batch
-    whose items are all exactly ``int`` is one ``'"%d", "%d", ...'`` format
-    call; a batch of strings that one check finds hold only 0-9 is joined
-    with ``", "`` quotes between its items and no escaping; any other batch,
-    such as one mixing ints with strings or bools, goes item by item, any
-    other string through ``encode_basestring_ascii``.
+    str.  A list or tuple goes out ``_BATCH`` items at a time, and any
+    iterator is taken as a list's batches as they are made.  A batch is a
+    list of items or a str that is already the JSON text of its items, such
+    as ``'"0", "1"'``.  A list whose items are all exactly ``int`` is one
+    ``'"%d", "%d", ...'`` format call; any other list goes item by item,
+    each string through ``encode_basestring_ascii``.
     """
     if isinstance(obj, str):
         yield _json_str(obj)
@@ -107,37 +90,31 @@ def _json_batches(obj):
     elif isinstance(obj, bool):
         yield "true" if obj else "false"
     elif isinstance(obj, int):
-        yield ['"', str(obj), '"']
+        yield '"%s"' % obj
     elif isinstance(obj, dict):
         pre = "{"
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            yield [pre, _json_str(key), ": "]
+            yield pre + _json_str(key) + ": "
             yield from _json_batches(obj[key])
             pre = ", "
         yield "}" if pre == ", " else "{}"
-    elif isinstance(obj, (list, tuple, _Batched)):
-        arrays = type(obj) is _Batched and obj.arrays
-        head, sep, tail = ("[", "], [", "]") if arrays else ('"', '", "', '"')
+    elif isinstance(obj, (list, tuple, Iterator)):
         pre = "["
-        for batch in obj.batches if type(obj) is _Batched else _batches(obj):
-            kinds = set(map(type, batch))
-            if kinds == {int} and not arrays:
+        for batch in obj if isinstance(obj, Iterator) else _batches(obj):
+            if type(batch) is not str and set(map(type, batch)) == {int}:
                 # one % call writes every item's digits, with no str an item
-                batch = (("%d" + sep) * (len(batch) - 1) + "%d") % tuple(batch)
-            elif batch and (arrays or kinds == {str} and _digits_only(batch)):
-                # nothing to escape: the items joined in as they are
-                batch = sep.join(batch)
-            else:
+                batch = ('"%d", ' * len(batch))[:-2] % tuple(batch)
+            if type(batch) is not str:
                 for item in batch:
                     yield pre
                     yield from _json_batches(item)
                     pre = ", "
-                continue
-            # the items' text replaced the batch, which is let go
-            yield from (pre + head, batch, tail)
-            pre = ", "
+            elif batch:
+                yield pre
+                yield batch
+                pre = ", "
         yield "]" if pre == ", " else "[]"
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -179,15 +156,14 @@ def _write(fmt: str, **builders) -> None:
 
     ``builders`` maps each format to a function of no arguments, and only
     the one for ``fmt`` runs: ``json`` returns an object, written by
-    ``_json_batches``; ``text`` and ``csv`` their batches of text, each a
-    str or a list of str pieces (a CSV row through ``_csv_line``).  A
-    batch is joined once, and written once about 1 MiB has gathered.
+    ``_json_batches``; ``text`` and ``csv`` their str batches (a CSV row
+    through ``_csv_line``), written once about 1 MiB has gathered.
     """
     render = _json_batches if fmt == "json" else iter
     held, size = [], 0
     for batch in render(builders[fmt]()):
-        held.append(batch if type(batch) is str else "".join(batch))
-        size += len(held[-1])
+        held.append(batch)
+        size += len(batch)
         if size >= _FLUSH:
             # the pieces go before the joined text is encoded
             held, size = ["".join(held)], 0
@@ -209,14 +185,16 @@ def cmd_info(args) -> int:
     n, k = args.n, args.k
     s0 = thabit.generator_at(n, k, 0)
     e = thabit.embedding_dimension(n, k)
-    # already decimal strings, so every format prints them as they are, as
-    # they are made: batches of about 80 kB, s_(e-1) having n + e + k bits
-    gens = _Batched(_batches(thabit.generator_decimals(n, k), max(1, (1 << 18) // (n + e + k))))
+    # already decimal strings, printed as they are made, in batches of about
+    # 80 kB (s_(e-1) has n + e + k bits) by the one builder that runs; JSON
+    # quotes a batch in exact-size joins: a str an item or a % result grown
+    # a realloc at a time left a long-running caller's heap fragmented
+    gens = _batches(thabit.generator_decimals(n, k), max(1, (1 << 18) // (n + e + k)))
     max_apery = thabit.max_apery(n, k)
     data = {
         "n": n,
         "k": k,
-        "generators": gens,
+        "generators": map(lambda batch: '"' + '", "'.join(batch) + '"', gens),
         "delta": thabit.delta(n, k),
         "e": e,
         "case": thabit.case_of(n, k).name,
@@ -234,7 +212,7 @@ def cmd_info(args) -> int:
         if genus is None:
             genus = "(skipped: s0 exceeds enumeration cap; raise GTSG_S0_CAP)"
         yield f"GT({n},{k})\ngenerators = "
-        yield from _spaced_batches(gens.batches)
+        yield from _spaced_batches(gens)
         yield (f"\ndelta = {data['delta']}\n"
                f"e = {e}\n"
                f"case = {data['case']}\n"
@@ -245,9 +223,9 @@ def cmd_info(args) -> int:
     def table():
         # the header, n, k, the generators as they are made (digits and
         # spaces, which csv never quotes), then the fields after them
-        yield [_csv_line(data), f"{n},{k},"]
-        yield from _spaced_batches(gens.batches)
-        yield [",", _csv_line(list(data.values())[3:])]
+        yield _csv_line(data) + f"{n},{k},"
+        yield from _spaced_batches(gens)
+        yield "," + _csv_line(list(data.values())[3:])
 
     _write(args.format, json=lambda: data, csv=table, text=text)
     return 0
@@ -281,10 +259,10 @@ def cmd_apery(args) -> int:
         # each sequence already the items of its JSON array; the values go
         # as soon as they are written, before the sequences are decoded
         values, codes, render = listing(_json_items, ", ")
-        data = {"n": n, "k": k, "s0": s0, "apery": _Batched(_batches(values))}
+        data = {"n": n, "k": k, "s0": s0, "apery": _batches(values)}
         if codes is not None:
-            data["coeffs"] = _Batched((render(codes[at:at + _BATCH])
-                                       for at in range(0, len(codes), _BATCH)), arrays=True)
+            data["coeffs"] = map(lambda seqs: "[" + "], [".join(seqs) + "]",
+                                 map(render, _batches(codes)))
         return data
 
     def lines():
@@ -397,8 +375,8 @@ def cmd_verify(args) -> int:
 
     def text():
         for p in report.points:
-            yield [f"GT({p.n},{p.k}) s0={p.s0} {'match' if p.ok else 'MISMATCH'}",
-                   *(f" [{note}]" for note in notes(p)), "\n"]
+            yield "".join([f"GT({p.n},{p.k}) s0={p.s0} {'match' if p.ok else 'MISMATCH'}",
+                           *(f" [{note}]" for note in notes(p)), "\n"])
         yield f"{report.total} points, {len(report.mismatched)} mismatched\n"
 
     _write(args.format, json=record, csv=lambda: map(_csv_line, rows()), text=text)
@@ -483,6 +461,10 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        # Ctrl-C: one line, and the 128 + SIGINT a shell reports
+        print("gtsg: interrupted", file=sys.stderr)
+        return 130
     except ValueError as exc:
         # SemigroupError, TooLarge, and n < 0 or k < 1 (checked before any work)
         print(f"gtsg: error: {exc}", file=sys.stderr)

@@ -191,5 +191,6 @@ def test_bytes_do_not_depend_on_the_batch_size(capsys, monkeypatch, argv):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     monkeypatch.setattr(cli, "_BATCH", 1000)
+    assert list(map(len, cli._batches(range(2500)))) == [1000, 1000, 500]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == out

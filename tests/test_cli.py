@@ -401,6 +401,21 @@ class TestVerify:
         parsed = list(csv.reader(io.StringIO(out, newline="")))
         assert [len(row) for row in parsed] == [5] * (1 + len(report.points))
 
+    def test_interrupt_ends_in_one_line(self, capsys, monkeypatch):
+        # a Ctrl-C at the third point of a serial sweep
+        seen = []
+
+        def point(n, k):
+            seen.append((n, k))
+            if len(seen) == 3:
+                raise KeyboardInterrupt
+            return check(n, k)
+        check = verify.verify_point
+        monkeypatch.setattr(verify, "verify_point", point)
+        code, out, err = run(capsys, "verify", "--s0-max", "3000", "--jobs", "1")
+        assert (code, out, err) == (130, "", "gtsg: interrupted\n")
+        assert len(seen) == 3
+
     def test_self_check_survives_python_O(self):
         # python -O strips assert statements; the closed forms' self-checks
         # raise AssertionError themselves, so a failed one is still a mismatch
@@ -671,8 +686,19 @@ class TestJsonText:
         [], [()], [(0,)], [(0, 1), (2, 0)], [(), (1,)], [(2, 1, 0, 1)] * 3,
     ], ids=repr)
     def test_arrays_of_rendered_items(self, seqs):
-        obj = {"coeffs": cli._Batched([list(map(cli._json_items, seqs))], arrays=True)}
-        assert json_text(obj) == self.reference({"coeffs": seqs})
+        # str batches of two arrays' text, as apery writes its sequences
+        batches = ("[" + "], [".join(map(cli._json_items, seqs[at:at + 2])) + "]"
+                   for at in range(0, len(seqs), 2))
+        assert json_text({"coeffs": batches}) == self.reference({"coeffs": seqs})
+
+    @pytest.mark.parametrize("batches,items", [
+        ([""], []), (["", '"1"', ""], ["1"]), ([[], "", []], []),
+        ([[1, "a"], '"2", "3"', [], [None, 4], ""], [1, "a", "2", "3", None, 4]),
+        (['"0"', [1, 2], '"\\u00e9"', ["\u00e9"]], ["0", 1, 2, "\u00e9", "\u00e9"]),
+    ], ids=repr)
+    def test_batches_of_text_and_items(self, batches, items):
+        # an empty str batch writes nothing; str and list batches mix
+        assert json_text({"a": iter(batches)}) == self.reference({"a": items})
 
     @pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1.5}, [object()]],
                              ids=["int-key", "float", "object"])
@@ -685,15 +711,23 @@ class TestProcessFootprint:
     """Costs that only show in a fresh process."""
 
     def test_import_loads_no_pool_or_csv(self):
-        # decimal too: generator_decimals imports it when it runs
-        script = ("import sys, gtsg.cli\n"
-                  "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'csv',\n"
-                  "                         'decimal')\n"
-                  "             if m in sys.modules))\n")
+        # no pool, csv or decimal (generator_decimals imports it when it
+        # runs), nor any module that importing gtsg.cli does not load today:
+        # perfbench's setup_s times a fresh process that imports it
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n"
+                  "import gtsg.cli\n"
+                  "print(*set(sys.modules) - before)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
-        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+        assert (done.returncode, done.stderr) == (0, "")
+        today = {"__future__", "_ast", "_json", "_locale", "_opcode", "argparse", "ast", "copy",
+                 "dataclasses", "dis", "gettext", "gtsg", "gtsg.cli", "gtsg.oracle",
+                 "gtsg.thabit", "gtsg.verify", "importlib.machinery", "inspect", "json",
+                 "json.decoder", "json.encoder", "json.scanner", "linecache", "locale",
+                 "opcode", "token", "tokenize"}
+        assert set(done.stdout.split()) - today == set()
 
     @staticmethod
     def peak_rss_kb(*argv):
@@ -819,19 +853,20 @@ class TestSinkBoundaries:
         # about 2 MB of decimal strings in batches of 7, as info writes its
         # generators
         items = [str(7 ** i) for i in range(1, 2200)]
-        streamed = cli._Batched(cli._batches(items, 7))
+        streamed = map(cli._json_items, cli._batches(items, 7))
         chunks = writes("json", {"generators": streamed, "n": 1})
         assert len(chunks) > 1
         assert "".join(chunks) == self.dumps({"generators": items, "n": 1})
 
-    @pytest.mark.parametrize("empty", [[], cli._Batched([]), cli._Batched([[], []]),
-                                       cli._Batched([[]], arrays=True)],
+    @pytest.mark.parametrize("empty", [list, lambda: iter([]), lambda: iter([[], []]),
+                                       lambda: iter([""])],
                              ids=["list", "no-batches", "empty-batches", "arrays"])
     def test_empty_lists(self, empty):
-        assert json_text({"a": empty, "b": [empty]}) == '{"a": [], "b": [[]]}\n'
-        if type(empty) is list:     # a _Batched list is JSON only
-            assert csv_text([("a", empty, "b")]) == "a,,b\r\n"
-            assert csv_text([(empty,)]) == '""\r\n'
+        # a fresh list or iterator of batches for each use
+        assert json_text({"a": empty(), "b": [empty()]}) == '{"a": [], "b": [[]]}\n'
+        if empty is list:     # an iterator of batches is JSON only
+            assert csv_text([("a", empty(), "b")]) == "a,,b\r\n"
+            assert csv_text([(empty(),)]) == '""\r\n'
 
 
 class TestCsvMatchesJson:
